@@ -1,10 +1,11 @@
-"""Commuting POVMs: the exact eigenbasis shortcut versus the see-saw.
+"""Commuting POVMs: the exact eigenbasis shortcut versus the generic solver.
 
 When all POVM elements commute they share an eigenbasis, a maximally
 informative ensemble can be drawn from that basis, and the whole problem
 collapses to the capacity of the classical channel p(j|i) = <i|Pi_j|i> —
 one Blahut-Arimoto run, no non-convex search, and never more than D
-ensemble states. The generic see-saw must land on the same value.
+ensemble states. The generic column-generation solver must land on the
+same value.
 
 Run:  python3 demos/commuting_fast_path.py
 """
@@ -30,7 +31,7 @@ print(f"random commuting POVM, D = {dim}, {outcomes} outcomes")
 print(f"  max commutator norm = {povm.max_commutator_norm():.3e}")
 print(f"  fast path  W = {fast.w_estimate:.12f} bits "
       f"({fast.pruned_to} basis states, {fast.iterations_used} BA iterations)")
-print(f"  see-saw    W = {slow.w_estimate:.12f} bits "
+print(f"  generic    W = {slow.w_estimate:.12f} bits "
       f"({slow.pruned_to} states, converged = {slow.converged})")
 print(f"  difference   = {abs(fast.w_estimate - slow.w_estimate):.3e} bits")
 print(f"  fast-path ensemble size <= D: {fast.pruned_to} <= {dim}")

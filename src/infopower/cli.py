@@ -184,9 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the informational power of a POVM")
     add_input(p)
-    p.add_argument("--states", type=int, default=None, help="ensemble size M (default D^2)")
+    p.add_argument("--states", type=int, default=None, help="starting ensemble size M (default D^2)")
     p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-9, help="see-saw improvement threshold, nats")
+    p.add_argument("--tol", type=float, default=1e-9, help="certificate margin is max(10*tol, 1e-9) nats")
     p.add_argument("--seed", type=int, default=None, help="fallback: INFOPOWER_SEED, then 0")
     p.add_argument("--base", choices=[b.value for b in LogBase], default="bits")
     p.add_argument("--out", help="write the full report to this path")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch
-from .objects import DensityOperator, Ensemble, Povm, ensemble_average
+from .objects import DensityOperator, Ensemble, Povm
 
 ZERO_PRIOR_TOL = 1e-14
 
@@ -131,8 +131,3 @@ def duality_round_trip_check(
         tol=tol,
         passed=worst <= tol,
     )
-
-
-def average_state(e: Ensemble) -> DensityOperator:
-    """Alias of objects.ensemble_average, re-exported for symmetry."""
-    return ensemble_average(e)

@@ -115,12 +115,13 @@ class Povm:
         if not np.isfinite(e).all():
             raise ValueError("POVM contains non-finite entries")
         e = 0.5 * (e + np.conj(np.swapaxes(e, 1, 2)))
-        for j, m in enumerate(e):
-            w0 = float(np.linalg.eigvalsh(m)[0])
-            if w0 < -self.psd_tol:
-                raise NotPositiveSemidefinite(
-                    f"POVM element {j} has eigenvalue {w0:.3e} below -{self.psd_tol:.0e}"
-                )
+        w0 = np.linalg.eigvalsh(e)[:, 0]
+        bad = np.flatnonzero(w0 < -self.psd_tol)
+        if bad.size:
+            j = int(bad[0])
+            raise NotPositiveSemidefinite(
+                f"POVM element {j} has eigenvalue {w0[j]:.3e} below -{self.psd_tol:.0e}"
+            )
         residual = float(np.linalg.norm(e.sum(axis=0) - np.eye(e.shape[1])))
         if residual > self.completeness_tol:
             raise ValueError(
@@ -230,7 +231,7 @@ def validate_povm(p: Povm | np.ndarray | list, tol: float = 1e-8) -> ValidationR
         raise ValueError(f"expected a stack of square matrices, got shape {e.shape}")
     herm = tuple(float(np.linalg.norm(m - m.conj().T)) for m in e)
     sym = 0.5 * (e + np.conj(np.swapaxes(e, 1, 2)))
-    psd = tuple(float(max(0.0, -np.linalg.eigvalsh(m)[0])) for m in sym)
+    psd = tuple(float(max(0.0, -w0)) for w0 in np.linalg.eigvalsh(sym)[:, 0])
     completeness = float(np.linalg.norm(e.sum(axis=0) - np.eye(e.shape[1])))
     passed = max(max(herm), max(psd), completeness) <= tol
     return ValidationReport(

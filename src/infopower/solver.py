@@ -1,14 +1,20 @@
 """Informational power W(Pi) = max over ensembles of I(R, Pi).
 
-The generic path is a multistart see-saw over ensembles of M pure states:
-exact prior optimization by Blahut-Arimoto alternates with projected
-gradient ascent on the states (Armijo backtracking on the unit sphere).
-When an outer iteration stalls, the solver searches for a pure state whose
-relative entropy to the current output distribution exceeds the current
-rate; by the dual capacity bound C = min_q max_psi D(P(.|psi) || q), no
-such state exists only at the global optimum, so a stall with no violator
-certifies convergence, and any violator found replaces a negligible-prior
-member and receives weight along a line search that never lowers the rate.
+W is the capacity of the quantum-classical channel psi -> P(.|psi), so it
+also has the dual form W = min_q max_psi D(P(.|psi) || q). The generic
+path is column generation over the input alphabet (Blahut 1972; Arimoto
+1972), dual to the state-update iteration for accessible information of
+Rehacek, Englert and Kaszlikowski (PRA 2005). Each multistart restart
+keeps a finite ensemble of pure states and repeats one round:
+
+1. polish: joint L-BFGS ascent of I over softmax prior logits and state
+   amplitudes, with analytic gradients;
+2. compact: drop negligible-prior members and fold duplicates;
+3. refit: one warm-started, capped Blahut-Arimoto run on the prior;
+4. probe: search for a pure state whose relative entropy to the output
+   distribution q beats the rate. When none does by more than a small
+   margin, the dual bound certifies the rate; otherwise the best violator
+   joins the ensemble with a weight that raises the rate.
 
 POVMs with commuting elements skip all of this: the optimum is achieved on
 the common eigenbasis, so a single Blahut-Arimoto run is exact.
@@ -17,15 +23,19 @@ the common eigenbasis, so a single Blahut-Arimoto run is exact.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
+from .errors import NotCommuting
 from .information import (
+    _TINY,
     LogBase,
     blahut_arimoto,
+    channel_mutual_information_nats,
     ClassicalChannel,
     mutual_information,
     relative_entropy_rows,
@@ -33,29 +43,23 @@ from .information import (
 from .objects import Ensemble, Povm
 
 COMMUTING_TOL = 1e-10
-ARMIJO_C = 1e-4
-ARMIJO_SHRINK = 0.5
-ARMIJO_INITIAL_STEP = 1.0
-ARMIJO_MAX_BACKTRACKS = 50
-GRAD_STEPS_PER_OUTER = 30
 INNER_BA_TOL = 1e-12
-INNER_BA_MAX_ITER = 100000
-INNER_BA_CAP = 400
-TIGHT_BA_MAX_ITER = 20000
+INNER_BA_CAP = 2000
 MERGE_OVERLAP_TOL = 1e-6
-REVIVALS_PER_RESTART = 50
-_REVIVAL_BETAS = (0.5, 0.25, 0.1, 0.04, 0.015, 0.006, 0.0025, 0.001, 1e-4)
-_TINY = 1e-300
+LBFGS_MEMORY = 10
+POLISH_MAX_ITER = 500
+PROBE_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the see-saw solver.
+    """Knobs of the generic solver.
 
-    ``tol`` is the per-outer-iteration improvement threshold in nats;
-    ``num_states`` defaults to D^2 (the Davies bound, never fewer than
-    needed); ``prune_tol`` drops ensemble members below that prior after
-    convergence.
+    ``tol`` sets the certificate margin max(10*tol, 1e-9) nats: a restart
+    is certified when no pure state beats its rate by more than that.
+    ``max_outer_iter`` caps the column-generation rounds per restart.
+    ``num_states`` is the starting ensemble size and defaults to D^2 (the
+    Davies bound); ``prune_tol`` drops ensemble members below that prior.
     """
 
     num_states: int | None = None
@@ -144,7 +148,7 @@ def _bound_check(p: Povm, m_eff: int) -> BoundCheck:
 
 
 # ---------------------------------------------------------------------------
-# see-saw internals (all probabilities and rates in nats)
+# column-generation internals (all probabilities and rates in nats)
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -155,10 +159,6 @@ def _channel_probs(vectors: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Outcome probabilities <psi_i|Pi_j|psi_i> for unit row vectors."""
     probs = np.einsum("id,jdc,ic->ij", vectors.conj(), elements, vectors).real
     return np.clip(probs, 0.0, 1.0)
-
-
-def _mi_nats(prior: np.ndarray, probs: np.ndarray) -> float:
-    return float(prior @ relative_entropy_rows(probs, prior @ probs))
 
 
 def _log_ratio(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -180,58 +180,120 @@ def _mi_gradient(vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray,
     return g - radial[:, None] * vectors
 
 
-def _ba_prior(
-    probs: np.ndarray,
-    r0: np.ndarray | None,
-    max_iter: int = INNER_BA_MAX_ITER,
-) -> tuple[float, np.ndarray, float]:
-    """Prior optimization on a fixed channel; returns (value, prior, gap) in nats.
+def _lbfgs_ascent(
+    fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x: np.ndarray,
+    max_iter: int,
+) -> np.ndarray:
+    """Maximize f from ``x`` by L-BFGS with Armijo backtracking.
 
-    The value is the mutual information of the returned prior (recomputed,
-    so it stays consistent with every other rate in the see-saw even when
-    ``max_iter`` cuts the run short); the gap bounds how far that prior is
-    from the best one on this channel.
+    ``fg(x)`` returns ``(f, grad f)``. Curvature pairs are kept only when
+    s.y > 0, so the direction ascends wherever the gradient is nonzero.
+    Only steps that raise f are taken, so f at the returned point is never
+    below f at the start. Stops after ``max_iter`` steps, or when no step
+    along the direction raises f, which at the end happens at the
+    double-precision resolution of f.
     """
+    f, g = fg(x)
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    for _ in range(max_iter):
+        d = g.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d -= alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            d *= (s @ y) / (y @ y)
+        else:
+            d /= max(1.0, float(np.linalg.norm(g)))
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            d += (a - rho * (y @ d)) * s
+        slope = float(g @ d)
+        if slope <= 0.0:
+            break
+        step = 1.0
+        for _ in range(40):
+            x_new = x + step * d
+            f_new, g_new = fg(x_new)
+            if f_new > f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        s, y = x_new - x, g - g_new
+        if s @ y > 0.0:
+            pairs = pairs[-(LBFGS_MEMORY - 1):] + [(s, y, 1.0 / float(s @ y))]
+        x, f, g = x_new, f_new, g_new
+    return x
+
+
+def _polish(
+    vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Joint ascent of I over softmax prior logits and state amplitudes.
+
+    The logit gradient is r_i (D_i - I) with D_i = D(p(.|i) || q); the
+    amplitude gradient is the tangent state gradient scaled by 1/|z_i|,
+    since the states are the normalized amplitudes. Returns the states,
+    the prior and their rate, which is never below the starting rate.
+    """
+    m, dim = vectors.shape
+
+    def unpack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        z = (x[m::2] + 1j * x[m + 1::2]).reshape(m, dim)
+        norms = np.linalg.norm(z, axis=1)
+        t = np.exp(x[:m] - x[:m].max())
+        return z / norms[:, None], t / t.sum(), norms
+
+    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
+        v, r, norms = unpack(x)
+        probs = _channel_probs(v, elements)
+        d = relative_entropy_rows(probs, r @ probs)
+        value = float(r @ d)
+        gv = _mi_gradient(v, r, elements, probs) / norms[:, None]
+        return value, np.concatenate([r * (d - value), gv.view(float).ravel()])
+
+    x0 = np.concatenate([np.log(np.maximum(prior, _TINY)), vectors.view(float).ravel()])
+    v, r, _ = unpack(_lbfgs_ascent(fg, x0, POLISH_MAX_ITER))
+    return v, r, channel_mutual_information_nats(r, _channel_probs(v, elements))
+
+
+def _compact(
+    vectors: np.ndarray, prior: np.ndarray, prune_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop members below ``prune_tol`` (keeping at least the heaviest) and
+    fold members that are the same state up to global phase into their
+    heaviest copy; the prior is renormalized."""
+    prior = prior.copy()
+    keep: list[int] = []
+    for i in np.argsort(-prior, kind="stable"):
+        if keep and prior[i] < prune_tol:
+            break
+        overlaps = np.abs(vectors[keep].conj() @ vectors[i]) ** 2
+        dup = np.flatnonzero(overlaps > 1.0 - MERGE_OVERLAP_TOL)
+        if dup.size:
+            prior[keep[dup[0]]] += prior[i]
+        else:
+            keep.append(int(i))
+    keep.sort()
+    return vectors[keep], prior[keep] / prior[keep].sum()
+
+
+def _refit(
+    vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray, tol: float
+) -> tuple[np.ndarray, float]:
+    """Warm-started, capped Blahut-Arimoto on the prior; returns it with its rate."""
+    probs = _channel_probs(vectors, elements)
     res = blahut_arimoto(
         ClassicalChannel(probs),
-        tol=INNER_BA_TOL,
-        max_iter=max_iter,
+        tol=tol,
+        max_iter=INNER_BA_CAP,
         base=LogBase.NATS,
-        initial_prior=r0,
+        initial_prior=prior,
     )
-    prior = res.optimal_prior.probs
-    return _mi_nats(prior, probs), prior, res.gap
-
-
-def _gradient_phase(
-    vectors: np.ndarray,
-    prior: np.ndarray,
-    elements: np.ndarray,
-    tol: float,
-    max_steps: int = GRAD_STEPS_PER_OUTER,
-) -> np.ndarray:
-    """Projected gradient ascent on the states with the prior held fixed."""
-    for _ in range(max_steps):
-        probs = _channel_probs(vectors, elements)
-        f0 = _mi_nats(prior, probs)
-        g = _mi_gradient(vectors, prior, elements, probs)
-        gn2 = float(np.sum(np.real(g.conj() * g)))
-        if gn2 < 1e-30:
-            break
-        step = ARMIJO_INITIAL_STEP
-        accepted = False
-        f1 = f0
-        for _ in range(ARMIJO_MAX_BACKTRACKS):
-            trial = _normalize_rows(vectors + step * g)
-            f1 = _mi_nats(prior, _channel_probs(trial, elements))
-            if f1 >= f0 + ARMIJO_C * step * gn2:
-                vectors = trial
-                accepted = True
-                break
-            step *= ARMIJO_SHRINK
-        if not accepted or f1 - f0 < 0.25 * tol:
-            break
-    return vectors
+    r = res.optimal_prior.probs
+    return r, channel_mutual_information_nats(r, probs)
 
 
 def _max_relative_entropy_states(
@@ -240,59 +302,37 @@ def _max_relative_entropy_states(
     rng: np.random.Generator,
     n_init: int,
     extra_inits: np.ndarray | None = None,
-    max_steps: int = 150,
-    tol: float = 1e-11,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Search for pure states maximizing D(P(.|psi) || q), q held fixed.
 
-    Multi-initialization projected gradient ascent; each row climbs
-    independently since the objective separates per state. ``extra_inits``
-    rows (e.g. the current ensemble) are climbed alongside the random
-    starts. Returns the final vectors with their relative entropies (nats).
+    Every start repeatedly jumps to the top eigenvector of
+    H = sum_j ln(p_j / q_j) Pi_j. D is convex in |psi><psi| and its
+    gradient there is H plus the identity, so the jump maximizes a lower
+    bound that is tight at the current state and never lowers D; it needs
+    no step size. A start keeps its state when a jump would not raise D
+    (outcomes with p_j = 0 are left out of H). ``extra_inits`` rows (e.g.
+    the current ensemble) climb alongside ``n_init`` random starts. Stops
+    when no start gains 1e-12 nats in a step, or after PROBE_MAX_STEPS
+    steps. Returns the final vectors with their relative entropies (nats).
     """
     dim = elements.shape[1]
     vectors = rng.standard_normal((n_init, dim)) + 1j * rng.standard_normal((n_init, dim))
-    vectors = _normalize_rows(vectors)
     if extra_inits is not None:
-        vectors = np.concatenate([vectors, _normalize_rows(extra_inits)])
-        n_init = vectors.shape[0]
-
-    def values(v: np.ndarray) -> np.ndarray:
-        return relative_entropy_rows(_channel_probs(v, elements), q)
-
-    vals = values(vectors)
-    for _ in range(max_steps):
-        probs = _channel_probs(vectors, elements)
-        lr = _log_ratio(probs, q)
-        g = 2.0 * np.einsum("ij,jdc,ic->id", lr, elements, vectors)
-        radial = np.sum(np.real(vectors.conj() * g), axis=1)
-        g -= radial[:, None] * vectors
-        gn2 = np.sum(np.real(g.conj() * g), axis=1)
-        step = np.full(n_init, ARMIJO_INITIAL_STEP)
-        live = gn2 > 1e-30
-        new_vectors = vectors.copy()
-        new_vals = vals.copy()
-        for _ in range(ARMIJO_MAX_BACKTRACKS):
-            if not live.any():
-                break
-            idx = np.where(live)[0]
-            trial = _normalize_rows(vectors[idx] + step[idx, None] * g[idx])
-            ft = values(trial)
-            ok = ft >= vals[idx] + ARMIJO_C * step[idx] * gn2[idx]
-            new_vectors[idx[ok]] = trial[ok]
-            new_vals[idx[ok]] = ft[ok]
-            live[idx[ok]] = False
-            step[idx[~ok]] *= ARMIJO_SHRINK
-        gain = float(np.max(new_vals - vals)) if n_init else 0.0
-        vectors, vals = new_vectors, new_vals
-        if gain < tol:
+        vectors = np.concatenate([vectors, extra_inits])
+    vectors = _normalize_rows(vectors)
+    probs = _channel_probs(vectors, elements)
+    vals = relative_entropy_rows(probs, q)
+    for _ in range(PROBE_MAX_STEPS):
+        h = np.einsum("sj,jdc->sdc", _log_ratio(probs, q), elements)
+        trial = np.linalg.eigh(h)[1][:, :, -1]
+        trial_probs = _channel_probs(trial, elements)
+        trial_vals = relative_entropy_rows(trial_probs, q)
+        up = trial_vals > vals
+        gain = float(np.max(trial_vals - vals, initial=0.0))
+        vectors[up], probs[up], vals[up] = trial[up], trial_probs[up], trial_vals[up]
+        if gain < 1e-12:
             break
     return vectors, vals
-
-
-def _element_seed_states(elements: np.ndarray) -> np.ndarray:
-    """Top eigenvector of each POVM element: cheap violator-search seeds."""
-    return np.stack([linalg.eigh(m)[1][:, -1] for m in elements])
 
 
 @dataclass(frozen=True)
@@ -314,150 +354,86 @@ def _run_restart(
     max_outer_iter: int,
     prune_tol: float,
 ) -> _RestartOutcome:
-    """One seeded see-saw run; deterministic given (seed, restart_index).
+    """One seeded column-generation run; deterministic given (seed, restart_index).
 
-    The running value is exactly the mutual information of the current
-    (vectors, priors) pair and never decreases beyond roundoff: both inner
-    phases are monotone, and the revival step keeps a reweighting toward a
-    violator only when it beats the incumbent.
+    Starts from ``num_states`` random states at a uniform prior and repeats
+    rounds of polish, compact, refit and probe until the probe finds no
+    pure state beating the rate by more than max(10*tol, 1e-9) nats, or
+    ``max_outer_iter`` rounds have run. The running value is exactly the
+    mutual information of the current (vectors, priors) pair and does not
+    decrease beyond roundoff: the polish and the refit are monotone, a
+    violator joins only with a weight that raises the rate, and compaction
+    drops members below ``prune_tol`` and folds copies that the polish has
+    already driven together, which moves the rate at roundoff level.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(restart_index,)))
     dim = elements.shape[1]
     vectors = rng.standard_normal((num_states, dim)) + 1j * rng.standard_normal((num_states, dim))
     vectors = _normalize_rows(vectors)
-    value, prior, _ = _ba_prior(_channel_probs(vectors, elements), None, INNER_BA_CAP)
+    prior = np.full(num_states, 1.0 / num_states)
+    value = channel_mutual_information_nats(prior, _channel_probs(vectors, elements))
     history = [value]
-    converged = False
-    revivals = 0
+    # The refit leaves max_i D_i - I up to 0.1 * margin on the ensemble
+    # itself, so only an excess clearly above that is evidence of a
+    # violator.
+    margin = max(10.0 * tol, 1e-9)
     n_probe = max(16, 8 * dim)
-    eig_seeds = _element_seed_states(elements)
-    outer = 0
-    for outer in range(1, max_outer_iter + 1):
-        vectors = _gradient_phase(vectors, prior, elements, tol)
-        probs = _channel_probs(vectors, elements)
-        new_value, prior, gap = _ba_prior(probs, prior, INNER_BA_CAP)
-        if new_value - value < tol and gap > tol:
-            # the capped run left slack on this fixed channel: finish it
-            new_value, prior, gap = _ba_prior(probs, prior, TIGHT_BA_MAX_ITER)
-        improvement = new_value - value
-        value = new_value
+    element_seeds = np.linalg.eigh(elements)[1][:, :, -1]
+    converged = False
+    rounds = 0
+    for rounds in range(1, max_outer_iter + 1):
+        vectors, prior, value = _polish(vectors, prior, elements)
         history.append(value)
-        if improvement >= tol:
-            continue
-        # stalled: certify via the dual bound, or reweight toward a violator
-        q = prior @ probs
-        jitter = 0.15 * (rng.standard_normal(vectors.shape) + 1j * rng.standard_normal(vectors.shape))
-        seeds = np.concatenate([vectors, vectors + jitter, eig_seeds])
+        vectors, prior = _compact(vectors, prior, prune_tol)
+        prior, value = _refit(vectors, prior, elements, 0.1 * margin)
+        history.append(value)
+
+        q = prior @ _channel_probs(vectors, elements)
         cand_vectors, cand_vals = _max_relative_entropy_states(
-            q, elements, rng, n_probe, extra_inits=seeds
+            q, elements, rng, n_probe, extra_inits=np.concatenate([vectors, element_seeds])
         )
-        # The see-saw stops improving once gains drop below tol, so its value
-        # can sit up to ~tol under the optimum; candidates polished past that
-        # resolution are not evidence of a better basin. Only treat an excess
-        # clearly above the stopping resolution as a genuine violation.
-        margin = max(10.0 * tol, 1e-9)
-        if float(cand_vals.max()) <= value + margin:
+        best = int(np.argmax(cand_vals))
+        if cand_vals[best] <= value + margin:
             converged = True
             break
-        if revivals >= REVIVALS_PER_RESTART:
-            break
-        revivals += 1
-        order = np.argsort(cand_vals)[::-1]
-        picked: list[np.ndarray] = []
-        for k in order:
-            if cand_vals[k] <= value + margin:
-                break
-            v = cand_vectors[k]
-            if all(abs(np.vdot(v, u)) ** 2 < 1.0 - MERGE_OVERLAP_TOL for u in picked):
-                picked.append(v)
-        slots = np.where(prior < prune_tol)[0]
-        if slots.size == 0:
-            slots = np.array([int(np.argmin(prior))])
-        slots = slots[: len(picked)]
-        saved = vectors[slots].copy()
-        vectors[slots] = np.stack(picked[: slots.size])
+        vectors = np.concatenate([vectors, cand_vectors[best][None, :]])
         probs = _channel_probs(vectors, elements)
-        mix = np.zeros_like(prior)
-        mix[slots] = 1.0 / slots.size
-        best_try: tuple[float, np.ndarray] | None = None
-        for beta in _REVIVAL_BETAS:
-            r_try = (1.0 - beta) * prior + beta * mix
-            v_try = _mi_nats(r_try, probs)
-            if v_try > value and (best_try is None or v_try > best_try[0]):
-                best_try = (v_try, r_try)
-        if best_try is None:
-            # reweighting toward the violator cannot beat the incumbent
-            # from here (it displaced a member carrying real weight);
-            # stop uncertified rather than accept a regression
-            vectors[slots] = saved
+        for beta in 0.5 ** np.arange(1, 41):
+            r = np.append((1.0 - beta) * prior, beta)
+            rate = channel_mutual_information_nats(r, probs)
+            if rate > value:
+                prior, value = r, rate
+                break
+        else:
+            # no weight on the violator raises the rate at double precision
+            vectors = vectors[:-1]
             break
-        value, prior = best_try
         history.append(value)
     return _RestartOutcome(
         value_nats=value,
         vectors=vectors,
         priors=prior,
-        iterations=outer,
+        iterations=rounds,
         converged=converged,
         history=tuple(history),
     )
 
 
-def _merge_duplicates(vectors: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coalesce members that are the same state up to global phase."""
-    keep: list[int] = []
-    priors = priors.copy()
-    for i in range(vectors.shape[0]):
-        for j in keep:
-            if abs(np.vdot(vectors[i], vectors[j])) ** 2 > 1.0 - MERGE_OVERLAP_TOL:
-                priors[j] += priors[i]
-                break
-        else:
-            keep.append(i)
-    return vectors[keep], priors[keep]
-
-
-def _prune_and_polish(
-    elements: np.ndarray,
-    outcome: _RestartOutcome,
-    tol: float,
-    prune_tol: float,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Drop negligible-prior members, merge duplicates, re-optimize once."""
-    vectors, priors = outcome.vectors, outcome.priors
-    keep = priors >= prune_tol
-    if not keep.any():
-        keep[int(np.argmax(priors))] = True
-    vectors, priors = _merge_duplicates(vectors[keep], priors[keep])
-    priors = priors / priors.sum()
-
-    value0 = _mi_nats(priors, _channel_probs(vectors, elements))
-    polished = _gradient_phase(vectors, priors, elements, tol)
-    value1, priors1, _ = _ba_prior(_channel_probs(polished, elements), priors)
-    if value1 >= value0:
-        vectors, priors = polished, priors1
-    # polishing can re-empty a member; apply the prior cut once more
-    keep = priors >= prune_tol
-    if not keep.any():
-        keep[int(np.argmax(priors))] = True
-    vectors, priors = _merge_duplicates(vectors[keep], priors[keep])
-    priors = priors / priors.sum()
-    return vectors, priors, vectors.shape[0]
-
-
 def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> PowerReport:
-    """Generic multistart see-saw estimate of W(Pi).
+    """Generic multistart column-generation estimate of W(Pi).
 
-    Runs ``cfg.restarts`` independently seeded restarts (optionally on a
+    The name is kept from the see-saw solver this replaced. Runs
+    ``cfg.restarts`` independently seeded restarts (optionally on a
     process pool; results are identical for any ``jobs``), keeps the best,
-    prunes and re-polishes its ensemble, and reports the recomputed mutual
-    information of the final ensemble.
+    compacts its ensemble, and reports the recomputed mutual information
+    of the final ensemble. Restarts differ in their starting ensembles and
+    in the random starts of the violator search, the one non-convex step.
 
-    ``converged`` reflects the winning restart: True when it stalled with
-    no pure state beating the dual optimality bound by more than the
-    stopping resolution (max(10*tol, 1e-9) nats), False when it hit an
-    iteration cap before that certificate. ``iterations_used`` counts its
-    outer iterations.
+    ``converged`` reflects the winning restart: True when no pure state
+    beats the dual optimality bound at its output distribution by more
+    than the certificate margin (max(10*tol, 1e-9) nats), False when it
+    stopped before that certificate. ``iterations_used`` counts its
+    column-generation rounds.
     """
     cfg = cfg or SolverConfig()
     m = cfg.resolved_num_states(p.dim)
@@ -475,7 +451,8 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> Po
     best_index = int(np.argmax(values))
     best = outcomes[best_index]
 
-    vectors, priors, m_eff = _prune_and_polish(p.elements, best, cfg.tol, cfg.prune_tol)
+    vectors, priors = _compact(best.vectors, best.priors, cfg.prune_tol)
+    m_eff = vectors.shape[0]
     ensemble = Ensemble.from_pure(priors, vectors)
     w = mutual_information(ensemble, p, cfg.base)
     return PowerReport(
@@ -545,18 +522,19 @@ def informational_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1)
     """W(Pi): dispatches to the commuting fast path when applicable.
 
     Commuting elements (all pairwise commutator norms <= 1e-10) admit an
-    exact solution on the common eigenbasis; anything else runs the
-    multistart see-saw.
+    exact solution on the common eigenbasis; the fast path checks that
+    itself, and on NotCommuting the multistart generic solver runs.
     """
     cfg = cfg or SolverConfig()
-    if p.max_commutator_norm() <= COMMUTING_TOL:
+    try:
         return commuting_fast_path(
             p,
             tol=min(INNER_BA_TOL, cfg.tol),
             base=cfg.base,
             prune_tol=cfg.prune_tol,
         )
-    return see_saw_power(p, cfg, jobs=jobs)
+    except NotCommuting:
+        return see_saw_power(p, cfg, jobs=jobs)
 
 
 def state_gradient(e: Ensemble, p: Povm) -> list[np.ndarray]:

@@ -133,6 +133,51 @@ def top_eigenvector(m: np.ndarray) -> np.ndarray:
     return v[:, -1]
 
 
+def dual_bound_bits(
+    priors: np.ndarray,
+    vectors: np.ndarray,
+    elements: np.ndarray,
+    n_random: int = 256,
+    seed: int = 20261017,
+    max_steps: int = 5000,
+) -> float:
+    """Multistart estimate of max_psi D(P(.|psi) || q) in bits at the output
+    distribution q of a pure-state ensemble.
+
+    By the dual form W = min_q max_psi D(P(.|psi) || q), the maximum bounds
+    W from above for every q. Each start repeatedly jumps to the top
+    eigenvector of sum_j ln(p_j / q_j) Pi_j, which never lowers D because
+    D is convex in |psi><psi|. The starts are the ensemble's own states
+    plus ``n_random`` Gaussian vectors; each keeps its best value, and the
+    climb stops when no start gains more than 1e-16 nats in a step.
+    """
+    vectors = np.asarray(vectors, dtype=complex)
+    cond = np.clip(np.einsum("id,jdc,ic->ij", vectors.conj(), elements, vectors).real, 0.0, 1.0)
+    q = np.asarray(priors, dtype=float) @ cond
+    live = q > 0
+    logq = np.log(q[live])
+    rng = np.random.default_rng(seed)
+    dim = elements.shape[1]
+    z = rng.standard_normal((n_random, dim)) + 1j * rng.standard_normal((n_random, dim))
+    v = np.concatenate([vectors, z])
+    v = v / np.linalg.norm(v, axis=1)[:, None]
+
+    def divergence_and_field(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p = np.clip(np.einsum("sd,jdc,sc->sj", v.conj(), elements, v).real, 0.0, 1.0)[:, live]
+        lr = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)) - logq, 0.0)
+        return (p * lr).sum(axis=1), np.einsum("sj,jdc->sdc", lr, elements[live])
+
+    best, field = divergence_and_field(v)
+    for _ in range(max_steps):
+        v = np.linalg.eigh(field)[1][:, :, -1]
+        value, field = divergence_and_field(v)
+        gain = float(np.max(value - best))
+        best = np.maximum(best, value)
+        if gain < 1e-16:
+            break
+    return float(best.max()) / LN2
+
+
 def fd_state_gradient(ensemble, povm, i: int, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of I (nats) in the i-th member's amplitudes.
 

@@ -79,6 +79,13 @@ def test_povm_requires_psd_elements():
         Povm(els)
 
 
+def test_povm_psd_error_names_first_failing_element():
+    els = np.stack([np.diag([1.0, 0.2]), np.diag([-0.5, 0.5]), np.diag([0.5, -0.2]),
+                    np.diag([0.0, 0.5])])
+    with pytest.raises(NotPositiveSemidefinite, match=r"POVM element 1 has eigenvalue -5\.000e-01"):
+        Povm(els)
+
+
 def test_povm_requires_at_least_one_element():
     with pytest.raises(ValueError):
         Povm(np.zeros((0, 2, 2)))

@@ -30,10 +30,12 @@ from infopower.solver import (
 from helpers import (
     SIC_W_BITS,
     TRINE_W_BITS,
+    dual_bound_bits,
     fd_state_gradient,
     mi_bits_pure,
     random_commuting_elements,
     random_unitary,
+    top_eigenvector,
 )
 
 
@@ -139,6 +141,23 @@ def test_power_in_nats():
     cfg = SolverConfig(restarts=4, seed=0, base=LogBase.NATS)
     rep = see_saw_power(trine_povm(), cfg)
     assert rep.w_estimate == pytest.approx(TRINE_W_BITS * LN2, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "dim, outcomes, povm_seed, seed",
+    [(4, 8, 2, 0), (3, 4, 3041, 3041), (4, 5, 4052, 4052)],
+)
+def test_certifies_random_povms_within_dual_bound(dim, outcomes, povm_seed, seed):
+    """Instances on which an alternating see-saw with revivals stopped
+    uncertified; the reported W must sit within 1e-8 bits of the dual
+    bound at its own output distribution."""
+    p = random_povm(dim, outcomes, seed=povm_seed)
+    rep = informational_power(p, SolverConfig(restarts=3, seed=seed))
+    assert rep.converged
+    ens = rep.best_ensemble
+    vectors = np.stack([top_eigenvector(s.matrix) for s in ens.states])
+    upper = dual_bound_bits(ens.priors, vectors, p.elements)
+    assert -1e-12 <= upper - rep.w_estimate <= 1e-8
 
 
 # ---------------------------------------------------------------------------
