@@ -18,6 +18,8 @@ from .objects import DensityOperator, Ensemble, Povm
 
 _TINY = 1e-300
 LN2 = float(np.log(2.0))
+# Blahut-Arimoto tries a Newton step on the prior every this many passes.
+_NEWTON_EVERY = 8
 
 
 class LogBase(enum.Enum):
@@ -84,12 +86,28 @@ class ClassicalChannel:
         return self.probs.shape[1]
 
 
+def _povm_slack(p: Povm) -> float:
+    """How far a valid POVM lets Tr[rho Pi_j] leave [0, 1] and their sum leave 1.
+
+    The elements may dip below zero by ``psd_tol`` and sum to the identity
+    within ``completeness_tol``, so for a density matrix rho each
+    probability lies in [-psd_tol, 1 + completeness_tol + N psd_tol] and
+    the clipped row sums lie within completeness_tol + N psd_tol of 1.
+    """
+    return p.completeness_tol + p.num_outcomes * p.psd_tol
+
+
 def outcome_probabilities(e: Ensemble, p: Povm) -> np.ndarray:
-    """Raw matrix Tr[rho_i Pi_j], clamped to [0, 1] at 1e-12 slack."""
+    """Raw matrix Tr[rho_i Pi_j], clamped to [0, 1].
+
+    Values outside [0, 1] by more than the POVM's own tolerances (see
+    ``_povm_slack``) plus 1e-12 raise.
+    """
     if e.dim != p.dim:
         raise DimensionMismatch(f"ensemble dim {e.dim} vs POVM dim {p.dim}")
     probs = np.einsum("idc,jcd->ij", e.states_stack(), p.elements).real
-    if probs.min() < -1e-12 or probs.max() > 1.0 + 1e-12:
+    slack = 1e-12 + _povm_slack(p)
+    if probs.min() < -slack or probs.max() > 1.0 + slack:
         raise ValueError(
             f"outcome probability outside [0,1] beyond slack: min {probs.min()!r}, max {probs.max()!r}"
         )
@@ -97,12 +115,17 @@ def outcome_probabilities(e: Ensemble, p: Povm) -> np.ndarray:
 
 
 def joint_statistics(e: Ensemble, p: Povm) -> ClassicalChannel:
-    """The classical channel p(j|i) = Tr[rho_i Pi_j] induced by measuring the POVM."""
+    """The classical channel p(j|i) = Tr[rho_i Pi_j] induced by measuring the POVM.
+
+    Rows are divided by their sums, which a valid POVM keeps within
+    1e-10 plus its own tolerances of 1 (see ``_povm_slack``).
+    """
     probs = outcome_probabilities(e, p)
     sums = probs.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-10:
+    slack = 1e-10 + _povm_slack(p)
+    if np.max(np.abs(sums - 1.0)) > slack:
         worst = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValueError(f"row {worst} of Tr[rho Pi] sums to {sums[worst]!r}, not 1 within 1e-10")
+        raise ValueError(f"row {worst} of Tr[rho Pi] sums to {sums[worst]!r}, not 1 within {slack:.1e}")
     return ClassicalChannel(probs / sums[:, None])
 
 
@@ -169,6 +192,91 @@ class BlahutArimotoResult:
     gap: float
 
 
+def _newton_prior(p: np.ndarray, r: np.ndarray, d: np.ndarray, value: float,
+                  live: np.ndarray) -> np.ndarray | None:
+    """One active-set Newton step on the capacity KKT conditions, or None.
+
+    The active set S holds the live inputs with r_i > 1e-3 max r or
+    D_i >= I (that is, D_i >= max D - gap), so an input zeroed earlier
+    re-enters when it is worth sending. On S the conditions D_i = C are
+    linearised at q = r p:
+
+        sum_k H_ik r'_k + lambda = D_i + 1,  sum_k r'_k = 1,
+        H_ik = sum_j p_ij p_kj / q_j.
+
+    An LU solve is used unless it returns entries beyond 1e6, the sign of
+    a (nearly) singular system, which is then solved through its
+    eigendecomposition. When S has more inputs than independent rows the
+    system is singular; along its null direction q stays put and I is
+    linear with slope v.D, so the input whose weight reaches zero first
+    on the way uphill is dropped. A solution with negative entries drops
+    its most negative entry. Either way S shrinks and the system is
+    solved again.
+
+    A step that would leave an output with q_j > 0 unfed is refused: an
+    input that alone feeds an output has D_i -> infinity as r_i -> 0, so it
+    belongs to the support, and at q_j = 0 the linearisation breaks down.
+    """
+    q = r @ p
+    inv_q = np.where(q > _TINY, 1.0 / np.maximum(q, _TINY), 0.0)
+    s = live[(r[live] > 1e-3 * r[live].max()) | (d[live] >= value)]
+    while s.size:
+        k = s.size
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = (p[s] * inv_q) @ p[s].T
+        kkt[k, k] = 0.0
+        rhs = np.append(d[s] + 1.0, 1.0)
+        try:
+            x = np.linalg.solve(kkt, rhs)[:k]
+        except np.linalg.LinAlgError:
+            x = np.full(k, np.inf)
+        v = None
+        if not np.abs(x).max() < 1e6:
+            # (nearly) singular: the eigendecomposition of the symmetric
+            # system gives its least-squares solution and a null direction
+            w, vecs = np.linalg.eigh(kkt)
+            big = np.abs(w) > np.abs(w).max() * (k + 1) * np.finfo(float).eps
+            x = vecs[:k, big] @ (vecs[:, big].T @ rhs / w[big])
+            if not big.all():
+                v = vecs[:k, int(np.argmin(np.abs(w)))]
+        if v is not None:
+            v = v if v @ d[s] >= 0 else -v
+            down = v < 0
+            drop = int(np.argmin(np.where(down, x / np.where(down, -v, 1.0), np.inf)))
+        elif x.min() < 0:
+            drop = int(np.argmin(x))
+        else:
+            trial = np.zeros_like(r)
+            trial[s] = x / x.sum()
+            return trial if (trial @ p)[q > 0].min() > 0 else None
+        s = np.delete(s, drop)
+    return None
+
+
+def _model_step(p: np.ndarray, r: np.ndarray, d: np.ndarray, trial: np.ndarray) -> float:
+    """The t maximising the quadratic model of I(r + t (trial - r)).
+
+    Its slope at t = 0 is D.(trial - r) and its curvature -sum_j dq_j^2 / q_j
+    with dq = (trial - r) p.
+    """
+    step = trial - r
+    q = r @ p
+    dq = step @ p
+    fed = q > _TINY
+    curvature = float(np.sum(dq[fed] ** 2 / q[fed]))
+    return float(d @ step) / curvature if curvature > 0 else 0.0
+
+
+def _improves(d: np.ndarray, value: float, d_trial: np.ndarray, value_trial: float) -> bool:
+    """I rises, or stays within roundoff (1e-14 nats) while max D falls.
+
+    Near the optimum I is flat to second order and its change drowns in
+    roundoff, while max D, which bounds the capacity from above, still
+    moves to first order.
+    """
+    return value_trial > value or (value_trial > value - 1e-14 and d_trial.max() < d.max())
+
+
 def blahut_arimoto(
     ch: ClassicalChannel,
     tol: float = 1e-12,
@@ -178,13 +286,25 @@ def blahut_arimoto(
 ) -> BlahutArimotoResult:
     """Discrete memoryless channel capacity by alternating maximization.
 
-    Stops when the capacity gap max_i D_i - sum_i r_i D_i falls to ``tol``
-    (interpreted in ``base``), which certifies the returned capacity is
-    within ``tol`` of the true value. Exceeding ``max_iter`` returns the
-    best iterate flagged ``converged=False``.
+    Stops when the capacity gap max_i D_i - sum_i r_i D_i, taken over all
+    inputs, falls to ``tol`` (interpreted in ``base``), which certifies the
+    returned capacity is within ``tol`` of the true value. Exceeding
+    ``max_iter`` loop passes returns the last iterate flagged
+    ``converged=False``.
+
+    A pass is the multiplicative update r_i <- r_i exp(D_i) / Z, except
+    that every ``_NEWTON_EVERY``-th pass first tries an active-set Newton
+    step on the optimality conditions (``_newton_prior``) and takes it
+    instead when it improves the iterate (``_improves``); a full step that
+    does not is cut back to the peak of the quadratic model of I along it.
+    The plain update converges sublinearly when the optimal prior sits on
+    a face of the simplex; the Newton step finds that face and lands on its
+    optimum. ``iterations`` counts every pass, Newton steps included.
 
     ``initial_prior`` warm-starts the iteration; entries at exact zero stay
-    zero under the multiplicative update, freezing that support.
+    zero, freezing that support. An entry that reaches zero later, through
+    a Newton step or underflow of the update, can re-enter through the
+    Newton step's active set.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -201,38 +321,45 @@ def blahut_arimoto(
 
     # Quantities that never change across iterations are hoisted: the set of
     # output columns carrying any mass, the per-row entropy term sum_j p log p,
-    # and (under the support-freezing multiplicative update) the live inputs.
+    # and the live inputs (the support of the initial prior).
     keep = probs.max(axis=0) > _TINY
     p = probs[:, keep]
     plogp = np.sum(np.where(p > _TINY, p * np.log(np.maximum(p, _TINY)), 0.0), axis=1)
     live = np.flatnonzero(r > 0)
-    full_support = live.size == m
 
-    value = 0.0
-    gap = np.inf
+    def rates(r: np.ndarray) -> tuple[np.ndarray, float]:
+        d = plogp - p @ np.log(np.maximum(r @ p, _TINY))
+        return d, float(r @ d)
+
+    d, value = rates(r)
     iterations = 0
-    converged = False
     for iterations in range(1, max_iter + 1):
-        q = r @ p
-        logq = np.log(np.maximum(q, _TINY))
-        d = plogp - p @ logq
-        value = float(r @ d)
-        gap = float(d.max() - value)
-        if gap <= tol_nats:
-            converged = True
+        if d.max() - value <= tol_nats:
             break
-        if full_support:
-            w = r * np.exp(d - d.max())
-            r = w / w.sum()
-        else:
-            dl = d[live]
-            w = r[live] * np.exp(dl - dl.max())
-            r = np.zeros(m)
-            r[live] = w / w.sum()
+        if iterations % _NEWTON_EVERY == 0:
+            trial = _newton_prior(p, r, d, value, live)
+            if trial is not None:
+                d_trial, value_trial = rates(trial)
+                if not _improves(d, value, d_trial, value_trial):
+                    # the full step overshoots: stop where the quadratic
+                    # model of I along it peaks
+                    t = _model_step(p, r, d, trial)
+                    if 0.0 < t < 1.0:
+                        trial = r + t * (trial - r)
+                        d_trial, value_trial = rates(trial)
+                if _improves(d, value, d_trial, value_trial):
+                    r, d, value = trial, d_trial, value_trial
+                    continue
+        pos = r > 0
+        w = r[pos] * np.exp(d[pos] - d[pos].max())
+        r = np.zeros(m)
+        r[pos] = w / w.sum()
+        d, value = rates(r)
+    gap = float(d.max() - value)
     return BlahutArimotoResult(
         capacity=base.from_nats(value),
         optimal_prior=Distribution(r),
-        converged=converged,
+        converged=gap <= tol_nats,
         iterations=iterations,
         gap=base.from_nats(max(gap, 0.0)),
     )

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -283,10 +282,15 @@ def _compact(
 def _refit(
     vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray, tol: float
 ) -> tuple[np.ndarray, float]:
-    """Warm-started, capped Blahut-Arimoto on the prior; returns it with its rate."""
+    """Warm-started, capped Blahut-Arimoto on the prior; returns it with its rate.
+
+    The rows of the channel are divided by their sums, as
+    ``joint_statistics`` does: a valid POVM keeps them only within its
+    completeness tolerance of 1, while ``ClassicalChannel`` asks for 1e-10.
+    """
     probs = _channel_probs(vectors, elements)
     res = blahut_arimoto(
-        ClassicalChannel(probs),
+        ClassicalChannel(probs / probs.sum(axis=1, keepdims=True)),
         tol=tol,
         max_iter=INNER_BA_CAP,
         base=LogBase.NATS,
@@ -442,6 +446,10 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> Po
         for k in range(cfg.restarts)
     ]
     if jobs > 1:
+        # imported here: the pool machinery costs about 2 MB of resident
+        # memory, which callers on one process never need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_restart_packed, args))
     else:
@@ -489,6 +497,8 @@ def commuting_fast_path(
     basis = linalg.simultaneous_eigenbasis(list(p.elements), tol=commute_tol)
     probs = np.einsum("di,jdc,ci->ij", basis.conj(), p.elements, basis).real
     probs = np.clip(probs, 0.0, 1.0)
+    # rows sum to 1 only within the POVM's completeness tolerance (see _refit)
+    probs /= probs.sum(axis=1, keepdims=True)
     res = blahut_arimoto(ClassicalChannel(probs), tol=tol, base=base)
 
     keep = res.optimal_prior.probs >= prune_tol

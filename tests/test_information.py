@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from infopower.errors import DimensionMismatch
 from infopower.information import (
@@ -29,9 +29,12 @@ from infopower.objects import (
 )
 
 from helpers import (
+    HARD_BLOCK_CHANNELS,
     SIC_W_BITS,
     TRINE_W_BITS,
+    block_channel,
     capacity_bits_oracle,
+    capacity_gap_bits,
     h2,
     mi_bits_direct,
 )
@@ -288,3 +291,99 @@ def test_ba_result_is_dataclass_with_expected_fields():
         "iterations",
         "gap",
     }
+
+
+@pytest.mark.parametrize("d, n, seed", HARD_BLOCK_CHANNELS)
+def test_ba_certifies_near_degenerate_block_channels(d, n, seed):
+    """The plain update needs 42k to over 100k passes on these channels."""
+    probs = block_channel(d, n, 0.5, np.random.default_rng(seed))
+    res = blahut_arimoto(ClassicalChannel(probs), tol=1e-12)
+    assert res.converged
+    assert res.iterations <= 1000
+    assert capacity_gap_bits(probs, res.optimal_prior.probs) <= 1e-12
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([0.3, 1.0]),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=2, max_value=12),
+)
+# two-output channels on which the plain update, and a Newton step without
+# the singular-system handling, both take more than 3000 passes
+@example(seed=6, alpha=0.3, m=10, n=2)
+@example(seed=3, alpha=0.3, m=6, n=2)
+def test_ba_certifies_dirichlet_channels(seed, alpha, m, n):
+    """Near-sparse rows (alpha 0.3) and two-output channels, where the
+    Newton active set can hold more inputs than there are outputs."""
+    probs = np.random.default_rng(seed).dirichlet(np.full(n, alpha), size=m)
+    res = blahut_arimoto(ClassicalChannel(probs), tol=1e-12)
+    assert res.converged
+    assert res.iterations <= 1000
+    assert capacity_gap_bits(probs, res.optimal_prior.probs) <= 1e-12
+
+
+def test_ba_support_input_reenters_from_tiny_prior():
+    # BSC(0.1) plus a useless input; the optimum is (1/2, 1/2, 0)
+    probs = np.array([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
+    res = blahut_arimoto(
+        ClassicalChannel(probs), initial_prior=np.array([1e-300, 0.5, 0.5]), tol=1e-12
+    )
+    assert res.converged
+    # the plain update needs about 1000 passes to grow it back
+    assert res.iterations <= 100
+    assert res.optimal_prior.probs[0] == pytest.approx(0.5, abs=1e-6)
+    assert res.capacity == pytest.approx(1.0 - h2(0.1), abs=1e-9)
+
+
+def test_ba_recovers_input_that_nearly_alone_feeds_an_output():
+    """Input 2 is almost the only sender into output 0. Once a Newton step
+    zeroes it, q_0 is near 6e-26 and I no longer resolves the steps that
+    bring it back, while max_i D_i does."""
+    probs = np.array([
+        [6.48e-31, 0.0, 3.44e-17, 0.818, 0.0, 0.182],
+        [8.76e-26, 0.0, 1.17e-05, 0.0476, 0.952, 0.0],
+        [0.135, 0.0, 0.0, 0.732, 0.0476, 0.0845],
+    ])
+    probs /= probs.sum(axis=1, keepdims=True)
+    prior = np.array([0.06196374832736306, 0.702800301669915, 0.235235950002722])
+    res = blahut_arimoto(ClassicalChannel(probs), initial_prior=prior, tol=1e-12)
+    assert res.converged
+    assert capacity_gap_bits(probs, res.optimal_prior.probs) <= 1e-12
+
+
+def test_ba_cuts_back_an_overshooting_newton_step():
+    """From a fixed point of the plain update on this channel, the full
+    Newton step lands on a worse face every time; the shortened step
+    gets past it."""
+    probs = np.random.default_rng(857381565).dirichlet(np.full(7, 0.3), size=12)
+    res = blahut_arimoto(ClassicalChannel(probs), tol=1e-12)
+    assert res.converged
+    assert res.iterations <= 1000
+    assert capacity_gap_bits(probs, res.optimal_prior.probs) <= 1e-12
+
+
+def test_ba_singular_newton_system_drops_along_null_direction():
+    """24 inputs and 2 outputs: the Newton system is singular until the
+    active set has at most 2 inputs, and which inputs go matters."""
+    probs = np.random.default_rng(125670846).dirichlet(np.full(2, 0.05), size=24)
+    res = blahut_arimoto(ClassicalChannel(probs), tol=1e-12)
+    assert res.converged
+    assert res.iterations <= 1000
+    assert capacity_gap_bits(probs, res.optimal_prior.probs) <= 1e-12
+
+
+def test_ba_newton_step_never_leaves_an_output_unfed():
+    """Input 1 alone sends into output 3. A Newton step that zeroed it
+    would leave D_1 infinite and no update able to restore it."""
+    probs = np.array([
+        [0.0, 0.0, 0.0757, 0.0, 0.2185, 0.7058],
+        [0.0, 0.0, 0.5242, 0.0212, 0.0, 0.4546],
+        [0.4579, 0.0, 0.5421, 0.0, 0.0, 0.0],
+        [0.0, 0.9405, 0.0, 0.0, 0.0595, 0.0],
+    ])
+    probs /= probs.sum(axis=1, keepdims=True)
+    res = blahut_arimoto(ClassicalChannel(probs), tol=1e-12)
+    assert res.converged
+    assert res.optimal_prior.probs[1] > 0
+    assert capacity_gap_bits(probs, res.optimal_prior.probs) <= 1e-12

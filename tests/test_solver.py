@@ -28,8 +28,10 @@ from infopower.solver import (
 )
 
 from helpers import (
+    HARD_BLOCK_CHANNELS,
     SIC_W_BITS,
     TRINE_W_BITS,
+    block_channel,
     dual_bound_bits,
     fd_state_gradient,
     mi_bits_pure,
@@ -88,6 +90,40 @@ def test_fast_path_m_eff_at_most_dim():
         rep = commuting_fast_path(p)
         assert rep.pruned_to <= dim
         assert rep.converged
+
+
+def test_fast_path_certifies_near_degenerate_channel():
+    d, n, seed = HARD_BLOCK_CHANNELS[2]
+    channel = block_channel(d, n, 0.5, np.random.default_rng(seed))
+    u = random_unitary(d, np.random.default_rng(7))
+    elements = np.einsum("ai,ij,bi->jab", u, channel, u.conj())
+    rep = commuting_fast_path(Povm(elements))
+    assert rep.fast_path_used
+    assert rep.converged
+    # every row of the channel bounds W through its divergence from the
+    # report's output distribution (D(.||q) is convex, so the eigenbasis
+    # states are the worst case among all states)
+    ens = rep.best_ensemble
+    q = ens.priors @ np.einsum("idc,jcd->ij", ens.states_stack(), elements).real
+    upper = float(np.max(np.sum(channel * np.log2(channel / q), axis=1)))
+    assert -1e-12 <= upper - rep.w_estimate <= 1e-9
+
+
+def test_fast_path_accepts_completeness_residual_within_tolerance():
+    els = standard_projective_povm(3).elements.copy()
+    els[0] += 5e-10 * np.eye(3)
+    rep = commuting_fast_path(Povm(els))
+    assert rep.converged
+    assert rep.w_estimate == pytest.approx(np.log2(3.0), abs=1e-6)
+
+
+def test_generic_path_accepts_completeness_residual_within_tolerance():
+    els = tetrahedral_sic_povm().elements.copy()
+    els[0] += 4e-10 * np.eye(2)
+    rep = informational_power(Povm(els), SolverConfig(restarts=2, seed=0))
+    assert not rep.fast_path_used
+    assert rep.converged
+    assert rep.w_estimate == pytest.approx(SIC_W_BITS, abs=1e-6)
 
 
 def test_dispatch_uses_fast_path_only_when_commuting():
