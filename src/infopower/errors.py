@@ -20,7 +20,7 @@ class ZeroOperator(InfopowerError):
 
 
 class NotCommuting(InfopowerError):
-    """A pair of matrices required to commute does not, within tolerance."""
+    """Matrices required to commute have no common eigenbasis, within tolerance."""
 
 
 class EigendecompositionError(InfopowerError):

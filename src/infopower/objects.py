@@ -114,7 +114,7 @@ class Povm:
             raise ValueError("POVM needs at least one element")
         if not np.isfinite(e).all():
             raise ValueError("POVM contains non-finite entries")
-        e = 0.5 * (e + np.conj(np.swapaxes(e, 1, 2)))
+        e = linalg.hermitize(e)
         w0 = np.linalg.eigvalsh(e)[:, 0]
         bad = np.flatnonzero(w0 < -self.psd_tol)
         if bad.size:
@@ -230,8 +230,7 @@ def validate_povm(p: Povm | np.ndarray | list, tol: float = 1e-8) -> ValidationR
     if e.ndim != 3 or e.shape[1] != e.shape[2] or e.shape[0] < 1:
         raise ValueError(f"expected a stack of square matrices, got shape {e.shape}")
     herm = tuple(float(np.linalg.norm(m - m.conj().T)) for m in e)
-    sym = 0.5 * (e + np.conj(np.swapaxes(e, 1, 2)))
-    psd = tuple(float(max(0.0, -w0)) for w0 in np.linalg.eigvalsh(sym)[:, 0])
+    psd = tuple(float(max(0.0, -w0)) for w0 in np.linalg.eigvalsh(linalg.hermitize(e))[:, 0])
     completeness = float(np.linalg.norm(e.sum(axis=0) - np.eye(e.shape[1])))
     passed = max(max(herm), max(psd), completeness) <= tol
     return ValidationReport(

@@ -41,7 +41,6 @@ from .information import (
 )
 from .objects import Ensemble, Povm
 
-COMMUTING_TOL = 1e-10
 INNER_BA_TOL = 1e-12
 INNER_BA_CAP = 2000
 MERGE_OVERLAP_TOL = 1e-6
@@ -93,7 +92,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Davies-type cardinality bounds on the pruned ensemble size."""
+    """Davies-type cardinality bounds on the pruned ensemble size.
+
+    ``upper`` (D^2, or D(D+1)/2 for real POVMs) is a theorem: some optimal
+    ensemble needs no more pure states. ``lower = D`` is bookkeeping, not a
+    necessary condition: an optimum may use fewer than D distinct states
+    (the trivial POVM needs one, some noisy full-rank qutrit POVMs two),
+    so ``passed`` can be False on a correct answer.
+    """
 
     dim: int
     m_eff: int
@@ -485,18 +491,19 @@ def commuting_fast_path(
     tol: float = 1e-12,
     base: LogBase = LogBase.BITS,
     prune_tol: float = 1e-8,
-    commute_tol: float = COMMUTING_TOL,
 ) -> PowerReport:
     """Exact W for POVMs with commuting elements.
 
     A maximally informative ensemble lives on the common eigenbasis, so
     the problem reduces to the classical channel p(j|i) = <i|Pi_j|i> and a
     single Blahut-Arimoto run is exact to its tolerance (``tol``, in
-    ``base``). Raises NotCommuting when elements do not commute.
+    ``base``). The elements count as commuting when the eigenbasis of a
+    fixed random combination of them leaves no off-diagonal entry above
+    ``linalg.COMMUTING_TOL`` (1e-10) in any element; otherwise this raises
+    NotCommuting.
     """
-    basis = linalg.simultaneous_eigenbasis(list(p.elements), tol=commute_tol)
-    probs = np.einsum("di,jdc,ci->ij", basis.conj(), p.elements, basis).real
-    probs = np.clip(probs, 0.0, 1.0)
+    basis = linalg.simultaneous_eigenbasis(p.elements)
+    probs = _channel_probs(basis.T, p.elements)
     # rows sum to 1 only within the POVM's completeness tolerance (see _refit)
     probs /= probs.sum(axis=1, keepdims=True)
     res = blahut_arimoto(ClassicalChannel(probs), tol=tol, base=base)
@@ -531,9 +538,13 @@ def commuting_fast_path(
 def informational_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> PowerReport:
     """W(Pi): dispatches to the commuting fast path when applicable.
 
-    Commuting elements (all pairwise commutator norms <= 1e-10) admit an
-    exact solution on the common eigenbasis; the fast path checks that
-    itself, and on NotCommuting the multistart generic solver runs.
+    Commuting elements admit an exact solution on their common
+    eigenbasis. The fast path decides "commuting" itself: the eigenbasis
+    of a fixed random combination of the elements must leave no
+    off-diagonal entry above 1e-10 in any of them. On NotCommuting the
+    multistart generic solver runs; a commuting POVM whose combination
+    happens to be nearly degenerate also lands there and is solved more
+    slowly, under the generic solver's certificate.
     """
     cfg = cfg or SolverConfig()
     try:

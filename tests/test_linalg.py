@@ -25,6 +25,15 @@ def test_hermitize_halves_antihermitian_part():
     assert np.allclose(h, np.array([[1.0, 1.0 + 1.5j], [1.0 - 1.5j, 3.0]]))
 
 
+def test_hermitize_acts_on_each_matrix_of_a_stack():
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    h = linalg.hermitize(stack)
+    assert h.shape == stack.shape
+    for k in range(4):
+        np.testing.assert_array_equal(h[k], linalg.hermitize(stack[k]))
+
+
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
 def test_eigh_reconstructs_input(dim, seed):
     rng = np.random.default_rng(seed)
@@ -135,3 +144,13 @@ def test_simultaneous_eigenbasis_rejects_noncommuting():
     z = np.diag([1.0, -1.0])
     with pytest.raises(NotCommuting):
         linalg.simultaneous_eigenbasis([x, z])
+
+
+def test_simultaneous_eigenbasis_names_first_noncommuting_matrix():
+    # matrix 0 commutes with both others; X and Z on the lower block do not
+    a = np.diag([1.0, 0.0, 0.0])
+    x = np.zeros((3, 3))
+    x[1, 2] = x[2, 1] = 1.0
+    z = np.diag([0.0, 1.0, -1.0])
+    with pytest.raises(NotCommuting, match="matrix 1 "):
+        linalg.simultaneous_eigenbasis([a, x, z])

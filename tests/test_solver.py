@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from infopower import solver
 from infopower.errors import NotCommuting
@@ -135,6 +136,78 @@ def test_dispatch_uses_fast_path_only_when_commuting():
 def test_trivial_povm_power_is_zero():
     rep = informational_power(Povm(np.eye(2)[None, :, :]))
     assert abs(rep.w_estimate) <= 1e-12
+
+
+def _rotated(u: np.ndarray, channel: np.ndarray) -> np.ndarray:
+    """Elements U diag(channel[:, j]) U† of the commuting POVM with this channel."""
+    return np.einsum("ai,ij,bi->jab", u, channel, u.conj())
+
+
+def _edge_corpus() -> list:
+    u = random_unitary(3, np.random.default_rng(41))
+    proj = standard_projective_povm(3).elements
+    nearly_equal_rows = np.array([[1.0, 0.0], [1.0 - 1e-9, 1e-9], [0.0, 1.0]])
+    return [
+        pytest.param(np.array([0.2, 0.3, 0.5])[:, None, None], 0.0, id="D1N3"),
+        pytest.param(np.concatenate([proj, np.zeros((1, 3, 3))]), np.log2(3.0), id="projective3_plus_zero"),
+        pytest.param(np.concatenate([proj[:1] / 2, proj[:1] / 2, proj[1:]]), np.log2(3.0), id="projective3_split"),
+        pytest.param(_rotated(u, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), 1.0, id="rank2_plus_rank1"),
+        # inputs 0 and 1 differ by 1e-9; inputs 0 and 2 are a noiseless bit
+        pytest.param(_rotated(u, nearly_equal_rows), 1.0, id="rows_within_1e-9"),
+    ]
+
+
+@pytest.mark.parametrize("elements,w_bits", _edge_corpus())
+def test_edge_corpus_takes_fast_path_with_exact_power(elements, w_bits):
+    rep = informational_power(Povm(elements))
+    assert rep.fast_path_used
+    assert rep.converged
+    assert rep.w_estimate == pytest.approx(w_bits, abs=1e-9)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6])
+def test_slightly_noncommuting_povm_takes_generic_path(eps):
+    # a commuting D3N5 POVM, with a non-commuting Hermitian term added to
+    # element 0 and taken from element 1 (completeness and PSD survive)
+    rng = np.random.default_rng(1)
+    elements = _rotated(random_unitary(3, rng), block_channel(3, 5, 0.3, rng))
+    exact = commuting_fast_path(Povm(elements)).w_estimate
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    term = eps * (g + g.conj().T) / np.linalg.norm(g + g.conj().T)
+    elements[0] += term
+    elements[1] -= term
+    rep = informational_power(Povm(elements), SolverConfig(restarts=2, seed=0))
+    assert not rep.fast_path_used
+    assert rep.converged
+    if eps == 1e-9:
+        assert rep.w_estimate == pytest.approx(exact, abs=1e-7)
+
+
+@given(
+    dim=st.integers(min_value=1, max_value=4),
+    outcomes=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_fast_path_power_bounds_and_invariances(dim, outcomes, seed):
+    rng = np.random.default_rng(seed)
+    elements = random_commuting_elements(dim, outcomes, rng)
+
+    def power(els: np.ndarray) -> float:
+        rep = informational_power(Povm(els))
+        assert rep.fast_path_used
+        return rep.w_estimate
+
+    w = power(elements)
+    assert -1e-12 <= w <= np.log2(min(dim, outcomes)) + 1e-12
+    v = random_unitary(dim, rng)
+    variants = {
+        "permuted": elements[rng.permutation(outcomes)],
+        "split": np.concatenate([elements[:1] / 2, elements[:1] / 2, elements[1:]]),
+        "zero_appended": np.concatenate([elements, np.zeros((1, dim, dim))]),
+        "conjugated": v @ elements @ v.conj().T,
+    }
+    for name, els in variants.items():
+        assert power(els) == pytest.approx(w, abs=1e-9), name
 
 
 # ---------------------------------------------------------------------------
