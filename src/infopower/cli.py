@@ -135,9 +135,10 @@ def cmd_duality(args: argparse.Namespace) -> int:
         if args.check:
             back, _ = ensemble_from_povm(povm, ensemble_average(ens))
             doc["round_trip_residual"] = _ensemble_distance(ens, back)
-    _emit(doc)
+    text = serialize.dumps(doc)
+    sys.stdout.write(text)
     if args.out:
-        serialize.write_document(args.out, doc)
+        serialize.write_text(args.out, text)
     return 0
 
 

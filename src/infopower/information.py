@@ -166,14 +166,19 @@ def mutual_information(e: Ensemble, p: Povm, base: LogBase = LogBase.BITS) -> fl
 
 
 def apply_qc_channel(p: Povm, rho: DensityOperator) -> Distribution:
-    """Outcome distribution Tr[rho Pi_j] of measuring rho with the POVM."""
+    """Outcome distribution Tr[rho Pi_j] of measuring rho with the POVM.
+
+    The probabilities are divided by their sum, which a valid POVM keeps
+    within 1e-10 plus its own tolerances of 1 (see ``_povm_slack``).
+    """
     if rho.dim != p.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs POVM dim {p.dim}")
     probs = np.einsum("dc,jcd->j", rho.matrix, p.elements).real
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"outcome probabilities sum to {total!r}, not 1 within 1e-10")
+    slack = 1e-10 + _povm_slack(p)
+    if abs(total - 1.0) > slack:
+        raise ValueError(f"outcome probabilities sum to {total!r}, not 1 within {slack:.1e}")
     return Distribution(probs / total)
 
 

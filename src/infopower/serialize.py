@@ -195,5 +195,10 @@ def dumps(doc: dict) -> str:
 
 
 def write_document(path: str, doc: dict) -> None:
+    write_text(path, dumps(doc))
+
+
+def write_text(path: str, text: str) -> None:
+    """Write a document already encoded by ``dumps``, byte for byte."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(doc))
+        fh.write(text)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -47,6 +48,8 @@ MERGE_OVERLAP_TOL = 1e-6
 LBFGS_MEMORY = 10
 POLISH_MAX_ITER = 500
 PROBE_MAX_STEPS = 200
+MAX_ROUNDS = 10000
+PRUNE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -55,28 +58,22 @@ class SolverConfig:
 
     ``tol`` sets the certificate margin max(10*tol, 1e-9) nats: a restart
     is certified when no pure state beats its rate by more than that.
-    ``max_outer_iter`` caps the column-generation rounds per restart.
     ``num_states`` is the starting ensemble size and defaults to D^2 (the
-    Davies bound); ``prune_tol`` drops ensemble members below that prior.
+    Davies bound). Each restart runs at most ``MAX_ROUNDS`` column-generation
+    rounds, and compaction drops ensemble members below ``PRUNE_TOL``.
     """
 
     num_states: int | None = None
     restarts: int = 20
     tol: float = 1e-9
-    max_outer_iter: int = 10000
     seed: int = 0
     base: LogBase = LogBase.BITS
-    prune_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol!r}")
-        if self.max_outer_iter < 1:
-            raise ValueError(f"max_outer_iter must be >= 1, got {self.max_outer_iter}")
-        if not 0 <= self.prune_tol < 1:
-            raise ValueError(f"prune_tol must lie in [0, 1), got {self.prune_tol!r}")
 
     def resolved_num_states(self, dim: int) -> int:
         m = dim * dim if self.num_states is None else self.num_states
@@ -264,16 +261,14 @@ def _polish(
     return v, r, channel_mutual_information_nats(r, _channel_probs(v, elements))
 
 
-def _compact(
-    vectors: np.ndarray, prior: np.ndarray, prune_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop members below ``prune_tol`` (keeping at least the heaviest) and
+def _compact(vectors: np.ndarray, prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop members below ``PRUNE_TOL`` (keeping at least the heaviest) and
     fold members that are the same state up to global phase into their
     heaviest copy; the prior is renormalized."""
     prior = prior.copy()
     keep: list[int] = []
     for i in np.argsort(-prior, kind="stable"):
-        if keep and prior[i] < prune_tol:
+        if keep and prior[i] < PRUNE_TOL:
             break
         overlaps = np.abs(vectors[keep].conj() @ vectors[i]) ** 2
         dup = np.flatnonzero(overlaps > 1.0 - MERGE_OVERLAP_TOL)
@@ -361,19 +356,17 @@ def _run_restart(
     seed: int,
     restart_index: int,
     tol: float,
-    max_outer_iter: int,
-    prune_tol: float,
 ) -> _RestartOutcome:
     """One seeded column-generation run; deterministic given (seed, restart_index).
 
     Starts from ``num_states`` random states at a uniform prior and repeats
     rounds of polish, compact, refit and probe until the probe finds no
     pure state beating the rate by more than max(10*tol, 1e-9) nats, or
-    ``max_outer_iter`` rounds have run. The running value is exactly the
+    ``MAX_ROUNDS`` rounds have run. The running value is exactly the
     mutual information of the current (vectors, priors) pair and does not
     decrease beyond roundoff: the polish and the refit are monotone, a
     violator joins only with a weight that raises the rate, and compaction
-    drops members below ``prune_tol`` and folds copies that the polish has
+    drops members below ``PRUNE_TOL`` and folds copies that the polish has
     already driven together, which moves the rate at roundoff level.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(restart_index,)))
@@ -391,10 +384,10 @@ def _run_restart(
     element_seeds = np.linalg.eigh(elements)[1][:, :, -1]
     converged = False
     rounds = 0
-    for rounds in range(1, max_outer_iter + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         vectors, prior, value = _polish(vectors, prior, elements)
         history.append(value)
-        vectors, prior = _compact(vectors, prior, prune_tol)
+        vectors, prior = _compact(vectors, prior)
         prior, value = _refit(vectors, prior, elements, 0.1 * margin)
         history.append(value)
 
@@ -429,6 +422,28 @@ def _run_restart(
     )
 
 
+def _power_report(p: Povm, vectors: np.ndarray, prior: np.ndarray, base: LogBase, *,
+                  converged: bool, iterations_used: int, fast_path_used: bool,
+                  per_restart_values: tuple[float, ...] | None = None) -> PowerReport:
+    """The report on the pure-state ensemble ``(vectors, prior)``, built here
+    for both solver paths. W is recomputed from the ensemble itself, and
+    ``per_restart_values`` defaults to that W."""
+    ensemble = Ensemble.from_pure(prior, vectors)
+    w = mutual_information(ensemble, p, base)
+    m_eff = vectors.shape[0]
+    return PowerReport(
+        w_estimate=w,
+        best_ensemble=ensemble,
+        per_restart_values=(w,) if per_restart_values is None else per_restart_values,
+        converged=converged,
+        iterations_used=iterations_used,
+        fast_path_used=fast_path_used,
+        pruned_to=m_eff,
+        bound_check=_bound_check(p, m_eff),
+        base=base,
+    )
+
+
 def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> PowerReport:
     """Generic multistart column-generation estimate of W(Pi).
 
@@ -447,92 +462,46 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> Po
     """
     cfg = cfg or SolverConfig()
     m = cfg.resolved_num_states(p.dim)
-    args = [
-        (p.elements, m, cfg.seed, k, cfg.tol, cfg.max_outer_iter, cfg.prune_tol)
-        for k in range(cfg.restarts)
-    ]
+    columns = (repeat(p.elements), repeat(m), repeat(cfg.seed), range(cfg.restarts), repeat(cfg.tol))
     if jobs > 1:
         # imported here: the pool machinery costs about 2 MB of resident
         # memory, which callers on one process never need
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_restart_packed, args))
+            outcomes = list(pool.map(_run_restart, *columns))
     else:
-        outcomes = [_run_restart_packed(a) for a in args]
+        outcomes = list(map(_run_restart, *columns))
 
-    values = np.array([o.value_nats for o in outcomes])
-    best_index = int(np.argmax(values))
-    best = outcomes[best_index]
-
-    vectors, priors = _compact(best.vectors, best.priors, cfg.prune_tol)
-    m_eff = vectors.shape[0]
-    ensemble = Ensemble.from_pure(priors, vectors)
-    w = mutual_information(ensemble, p, cfg.base)
-    return PowerReport(
-        w_estimate=w,
-        best_ensemble=ensemble,
-        per_restart_values=tuple(cfg.base.from_nats(v) for v in values),
-        converged=best.converged,
-        iterations_used=best.iterations,
-        fast_path_used=False,
-        pruned_to=m_eff,
-        bound_check=_bound_check(p, m_eff),
-        base=cfg.base,
-    )
+    values = [o.value_nats for o in outcomes]
+    best = outcomes[int(np.argmax(values))]
+    vectors, prior = _compact(best.vectors, best.priors)
+    return _power_report(p, vectors, prior, cfg.base, converged=best.converged,
+                         iterations_used=best.iterations, fast_path_used=False,
+                         per_restart_values=tuple(cfg.base.from_nats(v) for v in values))
 
 
-def _run_restart_packed(args: tuple) -> _RestartOutcome:
-    return _run_restart(*args)
-
-
-def commuting_fast_path(
-    p: Povm,
-    tol: float = 1e-12,
-    base: LogBase = LogBase.BITS,
-    prune_tol: float = 1e-8,
-) -> PowerReport:
+def commuting_fast_path(p: Povm, tol: float = 1e-12, base: LogBase = LogBase.BITS) -> PowerReport:
     """Exact W for POVMs with commuting elements.
 
     A maximally informative ensemble lives on the common eigenbasis, so
     the problem reduces to the classical channel p(j|i) = <i|Pi_j|i> and a
     single Blahut-Arimoto run is exact to its tolerance (``tol``, in
-    ``base``). The elements count as commuting when the eigenbasis of a
-    fixed random combination of them leaves no off-diagonal entry above
-    ``linalg.COMMUTING_TOL`` (1e-10) in any element; otherwise this raises
-    NotCommuting.
+    ``base``). The reported ensemble is the support of that run's prior:
+    the eigenvectors with a positive weight. The elements count as
+    commuting when the eigenbasis of a fixed random combination of them
+    leaves no off-diagonal entry above ``linalg.COMMUTING_TOL`` (1e-10) in
+    any element; otherwise this raises NotCommuting.
     """
     basis = linalg.simultaneous_eigenbasis(p.elements)
     probs = _channel_probs(basis.T, p.elements)
     # rows sum to 1 only within the POVM's completeness tolerance (see _refit)
     probs /= probs.sum(axis=1, keepdims=True)
     res = blahut_arimoto(ClassicalChannel(probs), tol=tol, base=base)
-
-    keep = res.optimal_prior.probs >= prune_tol
-    if not keep.any():
-        keep[int(np.argmax(res.optimal_prior.probs))] = True
-    kept = np.where(keep)[0]
-    refit = blahut_arimoto(
-        ClassicalChannel(probs[kept]),
-        tol=tol,
-        base=base,
-        initial_prior=res.optimal_prior.probs[kept] / res.optimal_prior.probs[kept].sum(),
-    )
-    vectors = basis.T[kept]
-    ensemble = Ensemble.from_pure(refit.optimal_prior.probs, vectors)
-    w = mutual_information(ensemble, p, base)
-    m_eff = len(kept)
-    return PowerReport(
-        w_estimate=w,
-        best_ensemble=ensemble,
-        per_restart_values=(w,),
-        converged=res.converged and refit.converged,
-        iterations_used=res.iterations + refit.iterations,
-        fast_path_used=True,
-        pruned_to=m_eff,
-        bound_check=_bound_check(p, m_eff),
-        base=base,
-    )
+    prior = res.optimal_prior.probs
+    support = prior > 0
+    return _power_report(p, basis.T[support], prior[support], base, converged=res.converged,
+                         iterations_used=res.iterations, fast_path_used=True)
 
 
 def informational_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> PowerReport:
@@ -548,12 +517,7 @@ def informational_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1)
     """
     cfg = cfg or SolverConfig()
     try:
-        return commuting_fast_path(
-            p,
-            tol=min(INNER_BA_TOL, cfg.tol),
-            base=cfg.base,
-            prune_tol=cfg.prune_tol,
-        )
+        return commuting_fast_path(p, tol=min(INNER_BA_TOL, cfg.tol), base=cfg.base)
     except NotCommuting:
         return see_saw_power(p, cfg, jobs=jobs)
 

@@ -180,6 +180,17 @@ def test_duality_sic_to_ensemble_and_back(tmp_path, capsys):
     assert worst <= 1e-8
 
 
+def test_duality_out_file_matches_stdout_bytes(tmp_path, capsys):
+    ens_path = tmp_path / "dual.json"
+    _, out, _ = run_cli(capsys, "duality", "--example", "sic", "--direction", "to-ensemble",
+                        "--check", "--out", str(ens_path))
+    assert ens_path.read_bytes() == out.encode("utf-8")
+    povm_path = tmp_path / "back.json"
+    _, out, _ = run_cli(capsys, "duality", str(ens_path), "--direction", "to-povm",
+                        "--check", "--out", str(povm_path))
+    assert povm_path.read_bytes() == out.encode("utf-8")
+
+
 def test_duality_trivial_to_ensemble_is_reference_state(capsys):
     code, out, _ = run_cli(
         capsys, "duality", "--example", "trivial", "--direction", "to-ensemble"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from infopower import serialize
 from infopower.errors import DimensionMismatch
 from infopower.information import (
     LN2,
@@ -19,6 +20,7 @@ from infopower.information import (
 )
 from infopower.objects import (
     Ensemble,
+    Povm,
     anti_tetrahedral_ensemble,
     maximally_mixed,
     random_povm,
@@ -179,6 +181,20 @@ def test_apply_qc_channel_uniform_on_sic():
 def test_apply_qc_channel_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         apply_qc_channel(standard_projective_povm(3), maximally_mixed(2))
+
+
+def test_apply_qc_channel_accepts_povms_within_their_own_tolerance():
+    # residual 5.7e-10: inside Povm's default completeness tolerance
+    els = tetrahedral_sic_povm().elements.copy()
+    els[0] += 4e-10 * np.eye(2)
+    d = apply_qc_channel(Povm(els), maximally_mixed(2))
+    assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
+    # residual 3e-9: inside the 1e-8 tolerance of a POVM read from a file
+    els = standard_projective_povm(3).elements.copy()
+    els[0] += 3e-9 * np.eye(3)
+    p = serialize.povm_from_document(serialize.povm_to_document(Povm(els, completeness_tol=1e-8)))
+    d = apply_qc_channel(p, maximally_mixed(3))
+    assert np.allclose(d.probs, 1 / 3, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from infopower import solver
 from infopower.errors import NotCommuting
@@ -51,10 +51,6 @@ def test_solver_config_validation():
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_outer_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(prune_tol=1.0)
 
 
 def test_num_states_default_and_bounds():
@@ -276,7 +272,7 @@ def test_certifies_random_povms_within_dual_bound(dim, outcomes, povm_seed, seed
 def test_restart_history_is_monotone():
     for povm in (trine_povm(), tetrahedral_sic_povm()):
         for k in range(4):
-            out = solver._run_restart(povm.elements, 4, 0, k, 1e-9, 10000, 1e-8)
+            out = solver._run_restart(povm.elements, 4, 0, k, 1e-9)
             h = np.array(out.history)
             assert np.all(np.diff(h) >= -1e-12), "see-saw objective must not decrease"
 
@@ -285,7 +281,7 @@ def test_restart_value_is_soundly_recomputable():
     """Per-restart lower-bound soundness against an independent MI formula."""
     p = tetrahedral_sic_povm()
     for k in range(3):
-        out = solver._run_restart(p.elements, 4, 0, k, 1e-9, 10000, 1e-8)
+        out = solver._run_restart(p.elements, 4, 0, k, 1e-9)
         independent = mi_bits_pure(out.priors, out.vectors, p.elements) * LN2
         assert out.value_nats == pytest.approx(independent, abs=1e-12)
 
@@ -310,6 +306,38 @@ def test_deterministic_across_runs_and_jobs():
     assert a.w_estimate == b.w_estimate == c.w_estimate
     assert a.per_restart_values == b.per_restart_values == c.per_restart_values
     assert np.array_equal(a.best_ensemble.priors, c.best_ensemble.priors)
+
+
+@settings(max_examples=10)
+@given(
+    shape=st.integers(min_value=2, max_value=3).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(min_value=d + 1, max_value=2 * d))
+    ),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_generic_power_bounds_and_invariances(shape, seed):
+    dim, outcomes = shape
+    elements = random_povm(dim, outcomes, seed=seed).elements
+    rng = np.random.default_rng(seed)
+
+    def power(els: np.ndarray) -> float:
+        rep = see_saw_power(Povm(els), SolverConfig(restarts=2, seed=0))
+        assert rep.converged
+        return rep.w_estimate
+
+    w = power(elements)
+    assert 0.0 <= w <= np.log2(min(dim, outcomes))
+    v = random_unitary(dim, rng)
+    variants = {
+        "permuted": elements[rng.permutation(outcomes)],
+        "split": np.concatenate([elements[:1] / 2, elements[:1] / 2, elements[1:]]),
+        "zero_appended": np.concatenate([elements, np.zeros((1, dim, dim))]),
+        "conjugated": v @ elements @ v.conj().T,
+    }
+    for name, els in variants.items():
+        assert power(els) == pytest.approx(w, abs=1e-7), name
+    merged = np.concatenate([elements[:1] + elements[1:2], elements[2:]])
+    assert power(merged) <= w + 1e-7
 
 
 # ---------------------------------------------------------------------------
