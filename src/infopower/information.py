@@ -137,22 +137,29 @@ def shannon_entropy(d: Distribution | np.ndarray, base: LogBase = LogBase.BITS) 
     return base.from_nats(max(h, 0.0))
 
 
+def _log_ratio(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """ln(p_ij / q_j) where both are positive, else 0; the one masking rule
+    of ``relative_entropy_rows``, the state gradient and the violator probe."""
+    mask = (probs > _TINY) & (q[None, :] > _TINY)
+    return np.where(
+        mask,
+        np.log(np.maximum(probs, _TINY)) - np.log(np.maximum(q, _TINY))[None, :],
+        0.0,
+    )
+
+
 def relative_entropy_rows(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
     """D(p(.|i) || q) in nats for every row of a channel matrix.
 
-    Columns with q_j = 0 are skipped; they carry zero output probability.
+    Terms with p_ij = 0 or q_j = 0 contribute 0; a column with q_j = 0
+    carries zero output probability.
     """
-    keep = q > _TINY
-    p = probs[:, keep]
-    logq = np.log(q[keep])
-    out = np.where(p > _TINY, p * (np.log(np.maximum(p, _TINY)) - logq[None, :]), 0.0)
-    return out.sum(axis=1)
+    return np.sum(probs * _log_ratio(probs, q), axis=1)
 
 
 def channel_mutual_information_nats(prior: np.ndarray, probs: np.ndarray) -> float:
     """I(prior, channel) in nats: sum_i r_i D(p(.|i) || q)."""
-    q = prior @ probs
-    return float(prior @ relative_entropy_rows(probs, q))
+    return float(prior @ relative_entropy_rows(probs, prior @ probs))
 
 
 def mutual_information(e: Ensemble, p: Povm, base: LogBase = LogBase.BITS) -> float:
@@ -166,20 +173,9 @@ def mutual_information(e: Ensemble, p: Povm, base: LogBase = LogBase.BITS) -> fl
 
 
 def apply_qc_channel(p: Povm, rho: DensityOperator) -> Distribution:
-    """Outcome distribution Tr[rho Pi_j] of measuring rho with the POVM.
-
-    The probabilities are divided by their sum, which a valid POVM keeps
-    within 1e-10 plus its own tolerances of 1 (see ``_povm_slack``).
-    """
-    if rho.dim != p.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} vs POVM dim {p.dim}")
-    probs = np.einsum("dc,jcd->j", rho.matrix, p.elements).real
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    slack = 1e-10 + _povm_slack(p)
-    if abs(total - 1.0) > slack:
-        raise ValueError(f"outcome probabilities sum to {total!r}, not 1 within {slack:.1e}")
-    return Distribution(probs / total)
+    """Outcome distribution Tr[rho Pi_j] of measuring rho with the POVM:
+    the one-member case of ``joint_statistics``, with its tolerances."""
+    return Distribution(joint_statistics(Ensemble(np.ones(1), (rho,)), p).probs[0])
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from .errors import (
     ZeroOperator,
 )
 
-PSD_TOL = -1e-10
+PSD_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-12
 COMMUTING_TOL = 1e-10
 
@@ -57,17 +57,17 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def matrix_sqrt(m: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix.
 
-    Eigenvalues within ``PSD_TOL`` of zero are clamped to 0.
+    Eigenvalues down to ``-PSD_TOL`` are clamped to 0.
 
     Raises
     ------
     NotPositiveSemidefinite
-        If any eigenvalue lies below ``PSD_TOL``.
+        If any eigenvalue lies below ``-PSD_TOL``.
     """
     w, v = eigh(m)
-    if w[0] < PSD_TOL:
+    if w[0] < -PSD_TOL:
         raise NotPositiveSemidefinite(
-            f"matrix_sqrt: eigenvalue {w[0]:.3e} below tolerance {PSD_TOL:.0e}"
+            f"matrix_sqrt: eigenvalue {w[0]:.3e} below tolerance {-PSD_TOL:.0e}"
         )
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
@@ -84,12 +84,12 @@ def pinv_sqrt(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     ZeroOperator
         If ``m`` has no eigenvalue above the rank cutoff.
     NotPositiveSemidefinite
-        If any eigenvalue lies below ``PSD_TOL``.
+        If any eigenvalue lies below ``-PSD_TOL``.
     """
     w, v = eigh(m)
-    if w[0] < PSD_TOL:
+    if w[0] < -PSD_TOL:
         raise NotPositiveSemidefinite(
-            f"pinv_sqrt: eigenvalue {w[0]:.3e} below tolerance {PSD_TOL:.0e}"
+            f"pinv_sqrt: eigenvalue {w[0]:.3e} below tolerance {-PSD_TOL:.0e}"
         )
     cutoff = rank_tol * max(w[-1], 0.0)
     keep = w > cutoff

@@ -14,7 +14,6 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, NotPositiveSemidefinite
 
-CONSTRUCTION_PSD_TOL = 1e-10
 CONSTRUCTION_COMPLETENESS_TOL = 1e-9
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -51,9 +50,9 @@ class DensityOperator:
         if not np.isfinite(m).all():
             raise ValueError("density operator contains non-finite entries")
         w = np.linalg.eigvalsh(m)
-        if w[0] < -CONSTRUCTION_PSD_TOL:
+        if w[0] < -linalg.PSD_TOL:
             raise NotPositiveSemidefinite(
-                f"density operator eigenvalue {w[0]:.3e} below -{CONSTRUCTION_PSD_TOL:.0e}"
+                f"density operator eigenvalue {w[0]:.3e} below -{linalg.PSD_TOL:.0e}"
             )
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > 1e-10:
@@ -103,7 +102,7 @@ class Povm:
     """
 
     elements: np.ndarray
-    psd_tol: float = field(default=CONSTRUCTION_PSD_TOL, repr=False)
+    psd_tol: float = field(default=linalg.PSD_TOL, repr=False)
     completeness_tol: float = field(default=CONSTRUCTION_COMPLETENESS_TOL, repr=False)
 
     def __post_init__(self) -> None:

@@ -33,7 +33,8 @@ def encode_complex(z: complex) -> list[float]:
 
 
 def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    return [[encode_complex(z) for z in row] for row in np.asarray(m, dtype=complex)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def decode_matrix(node: Any, dim: int, what: str) -> np.ndarray:

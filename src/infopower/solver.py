@@ -33,12 +33,12 @@ from . import linalg
 from .errors import NotCommuting
 from .information import (
     _TINY,
+    _log_ratio,
     LogBase,
     blahut_arimoto,
     channel_mutual_information_nats,
     ClassicalChannel,
     mutual_information,
-    relative_entropy_rows,
 )
 from .objects import Ensemble, Povm
 
@@ -163,21 +163,19 @@ def _channel_probs(vectors: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return np.clip(probs, 0.0, 1.0)
 
 
-def _log_ratio(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """ln(p_ij / q_j) where both are positive, else 0."""
-    mask = (probs > _TINY) & (q[None, :] > _TINY)
-    return np.where(
-        mask,
-        np.log(np.maximum(probs, _TINY)) - np.log(np.maximum(q, _TINY))[None, :],
-        0.0,
-    )
+def _weighted_elements(lr: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """H_i = sum_j lr_ij Pi_j for every row of ``lr``, as one product
+    against the elements flattened to (N, D*D)."""
+    n, dim, _ = elements.shape
+    return (lr @ elements.reshape(n, dim * dim)).reshape(-1, dim, dim)
 
 
 def _mi_gradient(vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray,
-                 probs: np.ndarray) -> np.ndarray:
-    """Tangent gradient of I w.r.t. the state vectors, priors fixed."""
-    lr = _log_ratio(probs, prior @ probs)
-    g = 2.0 * prior[:, None] * np.einsum("ij,jdc,ic->id", lr, elements, vectors)
+                 lr: np.ndarray) -> np.ndarray:
+    """Tangent gradient of I w.r.t. the state vectors, priors fixed; ``lr``
+    is the log-ratio ln(p_ij / q_j) at the states."""
+    hv = (_weighted_elements(lr, elements) @ vectors[:, :, None])[:, :, 0]
+    g = 2.0 * prior[:, None] * hv
     radial = np.sum(np.real(vectors.conj() * g), axis=1)
     return g - radial[:, None] * vectors
 
@@ -186,7 +184,7 @@ def _lbfgs_ascent(
     fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x: np.ndarray,
     max_iter: int,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Maximize f from ``x`` by L-BFGS with Armijo backtracking.
 
     ``fg(x)`` returns ``(f, grad f)``. Curvature pairs are kept only when
@@ -194,7 +192,7 @@ def _lbfgs_ascent(
     Only steps that raise f are taken, so f at the returned point is never
     below f at the start. Stops after ``max_iter`` steps, or when no step
     along the direction raises f, which at the end happens at the
-    double-precision resolution of f.
+    double-precision resolution of f. Returns the final point and f there.
     """
     f, g = fg(x)
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
@@ -227,7 +225,7 @@ def _lbfgs_ascent(
         if s @ y > 0.0:
             pairs = pairs[-(LBFGS_MEMORY - 1):] + [(s, y, 1.0 / float(s @ y))]
         x, f, g = x_new, f_new, g_new
-    return x
+    return x, f
 
 
 def _polish(
@@ -251,14 +249,16 @@ def _polish(
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
         v, r, norms = unpack(x)
         probs = _channel_probs(v, elements)
-        d = relative_entropy_rows(probs, r @ probs)
+        lr = _log_ratio(probs, r @ probs)
+        d = np.sum(probs * lr, axis=1)
         value = float(r @ d)
-        gv = _mi_gradient(v, r, elements, probs) / norms[:, None]
+        gv = _mi_gradient(v, r, elements, lr) / norms[:, None]
         return value, np.concatenate([r * (d - value), gv.view(float).ravel()])
 
     x0 = np.concatenate([np.log(np.maximum(prior, _TINY)), vectors.view(float).ravel()])
-    v, r, _ = unpack(_lbfgs_ascent(fg, x0, POLISH_MAX_ITER))
-    return v, r, channel_mutual_information_nats(r, _channel_probs(v, elements))
+    x, value = _lbfgs_ascent(fg, x0, POLISH_MAX_ITER)
+    v, r, _ = unpack(x)
+    return v, r, value
 
 
 def _compact(vectors: np.ndarray, prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,23 +280,18 @@ def _compact(vectors: np.ndarray, prior: np.ndarray) -> tuple[np.ndarray, np.nda
     return vectors[keep], prior[keep] / prior[keep].sum()
 
 
-def _refit(
-    vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray, tol: float
-) -> tuple[np.ndarray, float]:
-    """Warm-started, capped Blahut-Arimoto on the prior; returns it with its rate.
+def _stochastic(probs: np.ndarray) -> ClassicalChannel:
+    """The channel with rows ``probs`` divided by their sums, as
+    ``joint_statistics`` does: a valid POVM keeps the sums only within its
+    completeness tolerance of 1, while ``ClassicalChannel`` asks for 1e-10."""
+    return ClassicalChannel(probs / probs.sum(axis=1, keepdims=True))
 
-    The rows of the channel are divided by their sums, as
-    ``joint_statistics`` does: a valid POVM keeps them only within its
-    completeness tolerance of 1, while ``ClassicalChannel`` asks for 1e-10.
-    """
-    probs = _channel_probs(vectors, elements)
-    res = blahut_arimoto(
-        ClassicalChannel(probs / probs.sum(axis=1, keepdims=True)),
-        tol=tol,
-        max_iter=INNER_BA_CAP,
-        base=LogBase.NATS,
-        initial_prior=prior,
-    )
+
+def _refit(probs: np.ndarray, prior: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """Warm-started, capped Blahut-Arimoto on the prior of the channel
+    ``probs``; returns the prior with its rate."""
+    res = blahut_arimoto(_stochastic(probs), tol=tol, max_iter=INNER_BA_CAP, base=LogBase.NATS,
+                         initial_prior=prior)
     r = res.optimal_prior.probs
     return r, channel_mutual_information_nats(r, probs)
 
@@ -307,7 +302,7 @@ def _max_relative_entropy_states(
     rng: np.random.Generator,
     n_init: int,
     extra_inits: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Search for pure states maximizing D(P(.|psi) || q), q held fixed.
 
     Every start repeatedly jumps to the top eigenvector of
@@ -318,7 +313,8 @@ def _max_relative_entropy_states(
     (outcomes with p_j = 0 are left out of H). ``extra_inits`` rows (e.g.
     the current ensemble) climb alongside ``n_init`` random starts. Stops
     when no start gains 1e-12 nats in a step, or after PROBE_MAX_STEPS
-    steps. Returns the final vectors with their relative entropies (nats).
+    steps. Returns the final vectors with their outcome probabilities and
+    relative entropies (nats).
     """
     dim = elements.shape[1]
     vectors = rng.standard_normal((n_init, dim)) + 1j * rng.standard_normal((n_init, dim))
@@ -326,18 +322,20 @@ def _max_relative_entropy_states(
         vectors = np.concatenate([vectors, extra_inits])
     vectors = _normalize_rows(vectors)
     probs = _channel_probs(vectors, elements)
-    vals = relative_entropy_rows(probs, q)
+    lr = _log_ratio(probs, q)
+    vals = np.sum(probs * lr, axis=1)
     for _ in range(PROBE_MAX_STEPS):
-        h = np.einsum("sj,jdc->sdc", _log_ratio(probs, q), elements)
-        trial = np.linalg.eigh(h)[1][:, :, -1]
+        trial = np.linalg.eigh(_weighted_elements(lr, elements))[1][:, :, -1]
         trial_probs = _channel_probs(trial, elements)
-        trial_vals = relative_entropy_rows(trial_probs, q)
+        trial_lr = _log_ratio(trial_probs, q)
+        trial_vals = np.sum(trial_probs * trial_lr, axis=1)
         up = trial_vals > vals
         gain = float(np.max(trial_vals - vals, initial=0.0))
-        vectors[up], probs[up], vals[up] = trial[up], trial_probs[up], trial_vals[up]
+        vectors[up], probs[up], lr[up] = trial[up], trial_probs[up], trial_lr[up]
+        vals[up] = trial_vals[up]
         if gain < 1e-12:
             break
-    return vectors, vals
+    return vectors, probs, vals
 
 
 @dataclass(frozen=True)
@@ -388,11 +386,12 @@ def _run_restart(
         vectors, prior, value = _polish(vectors, prior, elements)
         history.append(value)
         vectors, prior = _compact(vectors, prior)
-        prior, value = _refit(vectors, prior, elements, 0.1 * margin)
+        probs = _channel_probs(vectors, elements)
+        prior, value = _refit(probs, prior, 0.1 * margin)
         history.append(value)
 
-        q = prior @ _channel_probs(vectors, elements)
-        cand_vectors, cand_vals = _max_relative_entropy_states(
+        q = prior @ probs
+        cand_vectors, cand_probs, cand_vals = _max_relative_entropy_states(
             q, elements, rng, n_probe, extra_inits=np.concatenate([vectors, element_seeds])
         )
         best = int(np.argmax(cand_vals))
@@ -400,7 +399,7 @@ def _run_restart(
             converged = True
             break
         vectors = np.concatenate([vectors, cand_vectors[best][None, :]])
-        probs = _channel_probs(vectors, elements)
+        probs = np.concatenate([probs, cand_probs[best][None, :]])
         for beta in 0.5 ** np.arange(1, 41):
             r = np.append((1.0 - beta) * prior, beta)
             rate = channel_mutual_information_nats(r, probs)
@@ -494,10 +493,7 @@ def commuting_fast_path(p: Povm, tol: float = 1e-12, base: LogBase = LogBase.BIT
     any element; otherwise this raises NotCommuting.
     """
     basis = linalg.simultaneous_eigenbasis(p.elements)
-    probs = _channel_probs(basis.T, p.elements)
-    # rows sum to 1 only within the POVM's completeness tolerance (see _refit)
-    probs /= probs.sum(axis=1, keepdims=True)
-    res = blahut_arimoto(ClassicalChannel(probs), tol=tol, base=base)
+    res = blahut_arimoto(_stochastic(_channel_probs(basis.T, p.elements)), tol=tol, base=base)
     prior = res.optimal_prior.probs
     support = prior > 0
     return _power_report(p, basis.T[support], prior[support], base, converged=res.converged,
@@ -535,7 +531,7 @@ def state_gradient(e: Ensemble, p: Povm) -> list[np.ndarray]:
         raise ValueError(f"ensemble dim {e.dim} vs POVM dim {p.dim}")
     vectors = _pure_vectors(e)
     probs = _channel_probs(vectors, p.elements)
-    g = _mi_gradient(vectors, e.priors, p.elements, probs)
+    g = _mi_gradient(vectors, e.priors, p.elements, _log_ratio(probs, e.priors @ probs))
     return [g[i] for i in range(g.shape[0])]
 
 

@@ -107,6 +107,14 @@ def test_relative_entropy_rows_hand_computed():
     assert d[1] == pytest.approx(expected1, abs=1e-14)
 
 
+def test_relative_entropy_rows_skips_zero_probabilities():
+    # p = 0 terms and the q = 0 column contribute nothing
+    probs = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
+    d = relative_entropy_rows(probs, np.array([0.75, 0.25, 0.0]))
+    assert d[0] == pytest.approx(0.5 * np.log(0.5 / 0.75) + 0.5 * np.log(0.5 / 0.25), abs=1e-15)
+    assert d[1] == pytest.approx(np.log(1.0 / 0.75), abs=1e-15)
+
+
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_relative_entropy_rows_nonnegative_and_zero_at_q(seed):
     probs = _random_channel(3, 4, seed)

@@ -37,6 +37,14 @@ def test_matrix_round_trip_bit_exact(seed):
     assert np.array_equal(back, m)
 
 
+def test_encode_matrix_matches_per_entry_encoding():
+    rng = np.random.default_rng(16)
+    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    m[0, 0], m[1, 1], m[2, 2] = complex(-0.0, 1e-300), complex(1e-300, -0.0), 0.0
+    per_entry = [[serialize.encode_complex(z) for z in row] for row in m]
+    assert serialize.dumps({"m": serialize.encode_matrix(m)}) == serialize.dumps({"m": per_entry})
+
+
 def test_awkward_doubles_survive_json():
     m = np.array([[0.1, 1.0 / 3.0], [math.pi, 5e-324]], dtype=complex)
     m[0, 0] += 1e-300j

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from infopower import solver
 from infopower.errors import NotCommuting
-from infopower.information import LN2, LogBase, mutual_information
+from infopower.information import LN2, LogBase, channel_mutual_information_nats, mutual_information
 from infopower.objects import (
     Ensemble,
     Povm,
@@ -37,6 +37,7 @@ from helpers import (
     fd_state_gradient,
     mi_bits_pure,
     random_commuting_elements,
+    random_rank_one_elements,
     random_unitary,
     top_eigenvector,
 )
@@ -159,6 +160,27 @@ def test_edge_corpus_takes_fast_path_with_exact_power(elements, w_bits):
     assert rep.fast_path_used
     assert rep.converged
     assert rep.w_estimate == pytest.approx(w_bits, abs=1e-9)
+
+
+def _generic_edge_corpus() -> list:
+    return [
+        pytest.param(random_povm(2, 40, seed=5).elements, id="D2N40"),
+        pytest.param(random_rank_one_elements(3, 4, np.random.default_rng(12)), id="rank1_D3N4"),
+        pytest.param(random_rank_one_elements(3, 5, np.random.default_rng(11)), id="rank1_D3N5"),
+    ]
+
+
+@pytest.mark.parametrize("elements", _generic_edge_corpus())
+def test_generic_edge_corpus_certifies_within_dual_bound(elements):
+    p = Povm(elements)
+    rep = informational_power(p, SolverConfig(restarts=2))
+    assert not rep.fast_path_used
+    assert rep.converged
+    assert 0.0 <= rep.w_estimate <= np.log2(min(p.dim, p.num_outcomes))
+    ens = rep.best_ensemble
+    vectors = np.stack([top_eigenvector(s.matrix) for s in ens.states])
+    upper = dual_bound_bits(ens.priors, vectors, p.elements)
+    assert -1e-12 <= upper - rep.w_estimate <= 1e-8
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-6])
@@ -286,6 +308,13 @@ def test_restart_value_is_soundly_recomputable():
         assert out.value_nats == pytest.approx(independent, abs=1e-12)
 
 
+def test_polish_reports_the_rate_of_its_result():
+    p = random_povm(3, 5, seed=1)
+    vectors = np.stack([s.amplitudes for s in random_pure_states(3, 9, seed=7)])
+    v, r, rate = solver._polish(vectors, np.full(9, 1 / 9), p.elements)
+    assert rate == channel_mutual_information_nats(r, solver._channel_probs(v, p.elements))
+
+
 def test_unitary_covariance_of_power():
     rng = np.random.default_rng(5)
     u = random_unitary(2, rng)
@@ -388,6 +417,24 @@ def test_additivity_of_projective_pair():
     assert rep.w2 == pytest.approx(np.log2(3.0), abs=1e-9)
     assert rep.w12 == pytest.approx(1.0 + np.log2(3.0), abs=1e-9)
     assert abs(rep.gap) <= 1e-8
+
+
+@settings(max_examples=10)
+@given(
+    n1=st.integers(min_value=3, max_value=4),
+    s1=st.integers(min_value=0, max_value=2**31 - 1),
+    n2=st.integers(min_value=3, max_value=4),
+    s2=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_power_is_additive_on_qubit_pairs(n1, s1, n2, s2):
+    cfg = SolverConfig(restarts=2, seed=0)
+    p1, p2 = random_povm(2, n1, seed=s1), random_povm(2, n2, seed=s2)
+    r1, r2 = informational_power(p1, cfg), informational_power(p2, cfg)
+    r12 = informational_power(tensor_povm(p1, p2), cfg)
+    assert r1.converged and r2.converged and r12.converged
+    assert not r12.fast_path_used
+    # three certificate margins of 1e-8 nats
+    assert abs(r12.w_estimate - r1.w_estimate - r2.w_estimate) <= 3e-8 / LN2
 
 
 def test_tensor_of_commuting_povms_stays_on_fast_path():
