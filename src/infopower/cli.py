@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="fallback: INFOPOWER_SEED, then 0")
     p.add_argument("--base", choices=[b.value for b in LogBase], default="bits")
     p.add_argument("--out", help="write the full report to this path")
-    p.add_argument("--jobs", type=int, default=1, help="parallel restarts; output is identical for any value")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; restarts run in lockstep in one process")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("duality", help="map a POVM to its dual ensemble or back")

@@ -139,11 +139,14 @@ def shannon_entropy(d: Distribution | np.ndarray, base: LogBase = LogBase.BITS) 
 
 def _log_ratio(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
     """ln(p_ij / q_j) where both are positive, else 0; the one masking rule
-    of ``relative_entropy_rows``, the state gradient and the violator probe."""
-    mask = (probs > _TINY) & (q[None, :] > _TINY)
+    of ``relative_entropy_rows``, the state gradient and the violator probe.
+    ``q`` has one axis fewer than ``probs`` and is broadcast as
+    ``q[..., None, :]``, so a stack of channels takes one q row each."""
+    q = q[..., None, :]
+    mask = (probs > _TINY) & (q > _TINY)
     return np.where(
         mask,
-        np.log(np.maximum(probs, _TINY)) - np.log(np.maximum(q, _TINY))[None, :],
+        np.log(np.maximum(probs, _TINY)) - np.log(np.maximum(q, _TINY)),
         0.0,
     )
 

@@ -16,6 +16,11 @@ keeps a finite ensemble of pure states and repeats one round:
    margin, the dual bound certifies the rate; otherwise the best violator
    joins the ensemble with a weight that raises the rate.
 
+The restarts advance in lockstep in one process: each round polishes and
+probes all running restarts together, stacked on a leading axis, and a
+restart leaves as soon as it stops. No restart's arithmetic depends on
+which others run beside it.
+
 POVMs with commuting elements skip all of this: the optimum is achieved on
 the common eigenbasis, so a single Blahut-Arimoto run is exact.
 """
@@ -23,9 +28,8 @@ the common eigenbasis, so a single Blahut-Arimoto run is exact.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -157,105 +161,172 @@ def _normalize_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` with the same row of ``b``."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D ``a``, where no row's result depends on how many
+    rows share the call: numpy hands a one-row product to gemv, which sums
+    in another order than gemm, so a single row goes through doubled."""
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
 def _channel_probs(vectors: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Outcome probabilities <psi_i|Pi_j|psi_i> for unit row vectors."""
-    probs = np.einsum("id,jdc,ic->ij", vectors.conj(), elements, vectors).real
-    return np.clip(probs, 0.0, 1.0)
+    """Outcome probabilities <psi_i|Pi_j|psi_i> for unit row vectors, as
+    one real product of the rows of |psi_i><psi_i| against the elements; a
+    stack (..., m, D) of ensembles goes through as one block of rows."""
+    n, dim, _ = elements.shape
+    flat = vectors.reshape(-1, dim)
+    outer = np.ascontiguousarray(flat.conj()[:, :, None] * flat[:, None, :]).reshape(-1, dim * dim)
+    layout = np.ascontiguousarray(elements.reshape(n, dim * dim).conj())
+    probs = _row_product(outer.view(float), layout.view(float).T)
+    return np.clip(probs, 0.0, 1.0).reshape(*vectors.shape[:-1], n)
 
 
 def _weighted_elements(lr: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """H_i = sum_j lr_ij Pi_j for every row of ``lr``, as one product
-    against the elements flattened to (N, D*D)."""
+    """H_i = sum_j lr_ij Pi_j for every row of ``lr`` (any leading shape),
+    as one real product against the elements flattened to (N, 2*D*D)."""
     n, dim, _ = elements.shape
-    return (lr @ elements.reshape(n, dim * dim)).reshape(-1, dim, dim)
+    flat = np.ascontiguousarray(elements).reshape(n, dim * dim)
+    h = _row_product(lr.reshape(-1, n), flat.view(float))
+    return h.view(complex).reshape(*lr.shape[:-1], dim, dim)
 
 
 def _mi_gradient(vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray,
                  lr: np.ndarray) -> np.ndarray:
     """Tangent gradient of I w.r.t. the state vectors, priors fixed; ``lr``
-    is the log-ratio ln(p_ij / q_j) at the states."""
-    hv = (_weighted_elements(lr, elements) @ vectors[:, :, None])[:, :, 0]
-    g = 2.0 * prior[:, None] * hv
-    radial = np.sum(np.real(vectors.conj() * g), axis=1)
-    return g - radial[:, None] * vectors
+    is the log-ratio ln(p_ij / q_j) at the states. Takes one ensemble,
+    (m, D), or a stack of them, (R, m, D)."""
+    hv = (_weighted_elements(lr, elements) @ vectors[..., None])[..., 0]
+    g = 2.0 * prior[..., None] * hv
+    radial = np.sum(np.real(vectors.conj() * g), axis=-1)
+    return g - radial[..., None] * vectors
+
+
+def _lbfgs_direction(g: np.ndarray, s_mem: np.ndarray, y_mem: np.ndarray, rho: np.ndarray,
+                     held: np.ndarray) -> np.ndarray:
+    """The L-BFGS two-loop direction for every row of ``g``.
+
+    Row r holds its ``held[r]`` newest curvature pairs in the last slots
+    of ``s_mem[:, r]``, ``y_mem[:, r]`` and ``rho[:, r]``, oldest first.
+    The slots before them are zero, so the updates they would make are
+    exact no-ops and a row's direction does not depend on the other rows.
+    With no pairs the direction is g scaled down to at most unit length.
+    """
+    d = g.copy()
+    slots = range(LBFGS_MEMORY - int(held.max()), LBFGS_MEMORY)
+    alphas = {}
+    for j in reversed(slots):
+        alphas[j] = rho[j] * _rowdot(s_mem[j], d)[:, None]
+        d -= alphas[j] * y_mem[j]
+    s, y, some = s_mem[-1], y_mem[-1], (held > 0)[:, None]
+    gamma = _rowdot(s, y)[:, None] / np.where(some, _rowdot(y, y)[:, None], 1.0)
+    d = np.where(some, d * gamma, d / np.maximum(1.0, np.linalg.norm(g, axis=1))[:, None])
+    for j in slots:
+        d -= (rho[j] * _rowdot(y_mem[j], d)[:, None] - alphas[j]) * s_mem[j]
+    return d
 
 
 def _lbfgs_ascent(
-    fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    fg: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,
     max_iter: int,
-) -> tuple[np.ndarray, float]:
-    """Maximize f from ``x`` by L-BFGS with Armijo backtracking.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize f from every row of ``x`` by L-BFGS with Armijo backtracking.
 
-    ``fg(x)`` returns ``(f, grad f)``. Curvature pairs are kept only when
-    s.y > 0, so the direction ascends wherever the gradient is nonzero.
-    Only steps that raise f are taken, so f at the returned point is never
-    below f at the start. Stops after ``max_iter`` steps, or when no step
-    along the direction raises f, which at the end happens at the
-    double-precision resolution of f. Returns the final point and f there.
+    The rows are independent problems run in lockstep: ``fg(x)`` returns
+    ``(f, grad f)`` row by row for any subset of the rows, and each tick
+    evaluates one trial point per live row. Each row keeps its own
+    curvature pairs, kept only when s.y > 0 so that the direction ascends
+    wherever the gradient is nonzero, and backtracks on its own. Only
+    steps that raise f are taken, so f at a returned row is never below f
+    at its start. A row stops after ``max_iter`` steps, or when no step
+    along its direction raises f within 40 halvings, which at the end
+    happens at the double-precision resolution of f; a stopped row is
+    never evaluated again. Returns the final points and f there.
     """
+    x, x_end, f_end = x.copy(), np.empty_like(x), np.empty(len(x))
     f, g = fg(x)
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for _ in range(max_iter):
-        d = g.copy()
-        alphas = []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * (s @ d))
-            d -= alphas[-1] * y
-        if pairs:
-            s, y, _ = pairs[-1]
-            d *= (s @ y) / (y @ y)
-        else:
-            d /= max(1.0, float(np.linalg.norm(g)))
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            d += (a - rho * (y @ d)) * s
-        slope = float(g @ d)
-        if slope <= 0.0:
-            break
-        step = 1.0
-        for _ in range(40):
-            x_new = x + step * d
-            f_new, g_new = fg(x_new)
-            if f_new > f + 1e-4 * step * slope:
-                break
-            step *= 0.5
-        else:
-            break
+    at = np.arange(len(x))  # the row of x that each live row came from
+    s_mem = np.zeros((LBFGS_MEMORY, *x.shape))
+    y_mem = np.zeros((LBFGS_MEMORY, *x.shape))
+    rho = np.zeros((LBFGS_MEMORY, len(x), 1))
+    held, steps, halvings = (np.zeros(len(x), dtype=int) for _ in range(3))
+    step = np.ones(len(x))
+    d = _lbfgs_direction(g, s_mem, y_mem, rho, held)
+    slope = _rowdot(g, d)
+    stop = (slope <= 0.0) | (max_iter <= 0)
+    while True:
+        if stop.any():
+            x_end[at[stop]], f_end[at[stop]] = x[stop], f[stop]
+            go = ~stop
+            if not go.any():
+                return x_end, f_end
+            at, x, f, g, d, slope, step, held, steps, halvings = (
+                a[go] for a in (at, x, f, g, d, slope, step, held, steps, halvings))
+            s_mem, y_mem, rho = s_mem[:, go], y_mem[:, go], rho[:, go]
+        x_new = x + step[:, None] * d
+        f_new, g_new = fg(x_new)
+        ok = f_new > f + 1e-4 * step * slope
         s, y = x_new - x, g - g_new
-        if s @ y > 0.0:
-            pairs = pairs[-(LBFGS_MEMORY - 1):] + [(s, y, 1.0 / float(s @ y))]
-        x, f, g = x_new, f_new, g_new
-    return x, f
+        sy = _rowdot(s, y)
+        pair = ok & (sy > 0.0)
+        for mem, new in ((s_mem, s[pair]), (y_mem, y[pair]), (rho, 1.0 / sy[pair, None])):
+            mem[:-1, pair] = mem[1:, pair]
+            mem[-1, pair] = new
+        held = np.minimum(held + pair, LBFGS_MEMORY)
+        np.copyto(x, x_new, where=ok[:, None])
+        np.copyto(f, f_new, where=ok)
+        np.copyto(g, g_new, where=ok[:, None])
+        steps += ok
+        halvings = np.where(ok, 0, halvings + 1)
+        step = np.where(ok, 1.0, step * 0.5)
+        stop = np.where(ok, steps >= max_iter, halvings >= 40)
+        if ok.any():
+            np.copyto(d, _lbfgs_direction(g, s_mem, y_mem, rho, held), where=ok[:, None])
+            np.copyto(slope, _rowdot(g, d), where=ok)
+            stop |= slope <= 0.0
 
 
 def _polish(
     vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Joint ascent of I over softmax prior logits and state amplitudes.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Joint ascent of I over softmax prior logits and state amplitudes, for
+    a stack of ensembles of equal size: ``vectors`` (R, m, D), ``prior``
+    (R, m).
 
     The logit gradient is r_i (D_i - I) with D_i = D(p(.|i) || q); the
     amplitude gradient is the tangent state gradient scaled by 1/|z_i|,
     since the states are the normalized amplitudes. Returns the states,
-    the prior and their rate, which is never below the starting rate.
+    the priors and their rates, shape (R,); each rate is never below its
+    starting rate, and each ensemble's result does not depend on the
+    others in the stack.
     """
-    m, dim = vectors.shape
+    rows, m, dim = vectors.shape
 
     def unpack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        z = (x[m::2] + 1j * x[m + 1::2]).reshape(m, dim)
-        norms = np.linalg.norm(z, axis=1)
-        t = np.exp(x[:m] - x[:m].max())
-        return z / norms[:, None], t / t.sum(), norms
+        z = x[:, m:].view(complex).reshape(-1, m, dim)
+        norms = np.linalg.norm(z, axis=2)
+        logits = x[:, :m]
+        t = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return z / norms[..., None], t / t.sum(axis=1, keepdims=True), norms
 
-    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def fg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v, r, norms = unpack(x)
         probs = _channel_probs(v, elements)
-        lr = _log_ratio(probs, r @ probs)
-        d = np.sum(probs * lr, axis=1)
-        value = float(r @ d)
-        gv = _mi_gradient(v, r, elements, lr) / norms[:, None]
-        return value, np.concatenate([r * (d - value), gv.view(float).ravel()])
+        lr = _log_ratio(probs, (r[:, None, :] @ probs)[:, 0])
+        d = np.sum(probs * lr, axis=2)
+        value = (r[:, None, :] @ d[:, :, None])[:, 0, 0]
+        gv = _mi_gradient(v, r, elements, lr) / norms[..., None]
+        return value, np.concatenate([r * (d - value[:, None]), gv.view(float).reshape(len(x), -1)],
+                                     axis=1)
 
-    x0 = np.concatenate([np.log(np.maximum(prior, _TINY)), vectors.view(float).ravel()])
+    x0 = np.concatenate([np.log(np.maximum(prior, _TINY)), vectors.view(float).reshape(rows, -1)],
+                        axis=1)
     x, value = _lbfgs_ascent(fg, x0, POLISH_MAX_ITER)
     v, r, _ = unpack(x)
     return v, r, value
@@ -299,43 +370,57 @@ def _refit(probs: np.ndarray, prior: np.ndarray, tol: float) -> tuple[np.ndarray
 def _max_relative_entropy_states(
     q: np.ndarray,
     elements: np.ndarray,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     n_init: int,
-    extra_inits: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Search for pure states maximizing D(P(.|psi) || q), q held fixed.
+    extra_inits: list[np.ndarray],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Search for pure states maximizing D(P(.|psi) || q_k), q held fixed,
+    once for every row q_k of ``q``.
 
     Every start repeatedly jumps to the top eigenvector of
     H = sum_j ln(p_j / q_j) Pi_j. D is convex in |psi><psi| and its
     gradient there is H plus the identity, so the jump maximizes a lower
     bound that is tight at the current state and never lowers D; it needs
     no step size. A start keeps its state when a jump would not raise D
-    (outcomes with p_j = 0 are left out of H). ``extra_inits`` rows (e.g.
-    the current ensemble) climb alongside ``n_init`` random starts. Stops
-    when no start gains 1e-12 nats in a step, or after PROBE_MAX_STEPS
-    steps. Returns the final vectors with their outcome probabilities and
+    (outcomes with p_j = 0 are left out of H). Search k draws ``n_init``
+    random starts from ``rngs[k]``, and the rows of ``extra_inits[k]``
+    (e.g. the current ensemble) climb alongside them. The starts of all
+    searches step together; a search stops when none of its starts gains
+    1e-12 nats in a step, or after PROBE_MAX_STEPS steps. Returns, per
+    search, the final vectors with their outcome probabilities and
     relative entropies (nats).
     """
     dim = elements.shape[1]
-    vectors = rng.standard_normal((n_init, dim)) + 1j * rng.standard_normal((n_init, dim))
-    if extra_inits is not None:
-        vectors = np.concatenate([vectors, extra_inits])
-    vectors = _normalize_rows(vectors)
+    starts = []
+    for rng, extra in zip(rngs, extra_inits):
+        v = rng.standard_normal((n_init, dim)) + 1j * rng.standard_normal((n_init, dim))
+        starts.append(np.concatenate([v, extra]))
+    sizes = np.array([len(s) for s in starts])
+    owner = np.repeat(np.arange(len(starts)), sizes)
+    vectors = _normalize_rows(np.concatenate(starts))
+    q_rows = q[owner]
     probs = _channel_probs(vectors, elements)
-    lr = _log_ratio(probs, q)
+    lr = _log_ratio(probs[:, None, :], q_rows)[:, 0]
     vals = np.sum(probs * lr, axis=1)
+    # A start whose jump does not raise D keeps its state, so its next jump
+    # would be the same: it leaves the search, which changes no result.
+    live = np.arange(len(vectors))
     for _ in range(PROBE_MAX_STEPS):
-        trial = np.linalg.eigh(_weighted_elements(lr, elements))[1][:, :, -1]
+        trial = np.linalg.eigh(_weighted_elements(lr[live], elements))[1][:, :, -1]
         trial_probs = _channel_probs(trial, elements)
-        trial_lr = _log_ratio(trial_probs, q)
+        trial_lr = _log_ratio(trial_probs[:, None, :], q_rows[live])[:, 0]
         trial_vals = np.sum(trial_probs * trial_lr, axis=1)
-        up = trial_vals > vals
-        gain = float(np.max(trial_vals - vals, initial=0.0))
-        vectors[up], probs[up], lr[up] = trial[up], trial_probs[up], trial_lr[up]
-        vals[up] = trial_vals[up]
-        if gain < 1e-12:
+        up = np.flatnonzero(trial_vals > vals[live])
+        gain = np.zeros(len(starts))
+        np.maximum.at(gain, owner[live], trial_vals - vals[live])
+        live = live[up]
+        vectors[live], probs[live], lr[live] = trial[up], trial_probs[up], trial_lr[up]
+        vals[live] = trial_vals[up]
+        live = live[gain[owner[live]] >= 1e-12]
+        if not live.size:
             break
-    return vectors, probs, vals
+    bounds = np.cumsum(sizes)
+    return [(vectors[a - s:a], probs[a - s:a], vals[a - s:a]) for a, s in zip(bounds, sizes)]
 
 
 @dataclass(frozen=True)
@@ -348,77 +433,99 @@ class _RestartOutcome:
     history: tuple[float, ...]
 
 
-def _run_restart(
+def _run_restarts(
     elements: np.ndarray,
     num_states: int,
     seed: int,
-    restart_index: int,
+    restart_indices: Iterable[int],
     tol: float,
-) -> _RestartOutcome:
-    """One seeded column-generation run; deterministic given (seed, restart_index).
+) -> list[_RestartOutcome]:
+    """Seeded column-generation runs, one per restart index, advanced in
+    lockstep. Each is deterministic given (seed, restart_index) and does
+    not depend on which other restarts run beside it.
 
-    Starts from ``num_states`` random states at a uniform prior and repeats
-    rounds of polish, compact, refit and probe until the probe finds no
-    pure state beating the rate by more than max(10*tol, 1e-9) nats, or
-    ``MAX_ROUNDS`` rounds have run. The running value is exactly the
-    mutual information of the current (vectors, priors) pair and does not
-    decrease beyond roundoff: the polish and the refit are monotone, a
+    A restart starts from ``num_states`` random states at a uniform prior
+    and repeats rounds of polish, compact, refit and probe until the probe
+    finds no pure state beating the rate by more than max(10*tol, 1e-9)
+    nats, or ``MAX_ROUNDS`` rounds have run. The running value is exactly
+    the mutual information of the current (vectors, priors) pair and does
+    not decrease beyond roundoff: the polish and the refit are monotone, a
     violator joins only with a weight that raises the rate, and compaction
     drops members below ``PRUNE_TOL`` and folds copies that the polish has
     already driven together, which moves the rate at roundoff level.
+
+    Each round polishes the running restarts together, one call per
+    ensemble size, and probes them together; compaction, the refit and the
+    violator's weight run restart by restart. A restart leaves the
+    lockstep when it certifies, when no weight on its violator raises the
+    rate, or after the last round.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(restart_index,)))
     dim = elements.shape[1]
-    vectors = rng.standard_normal((num_states, dim)) + 1j * rng.standard_normal((num_states, dim))
-    vectors = _normalize_rows(vectors)
-    prior = np.full(num_states, 1.0 / num_states)
-    value = channel_mutual_information_nats(prior, _channel_probs(vectors, elements))
-    history = [value]
     # The refit leaves max_i D_i - I up to 0.1 * margin on the ensemble
     # itself, so only an excess clearly above that is evidence of a
     # violator.
     margin = max(10.0 * tol, 1e-9)
     n_probe = max(16, 8 * dim)
     element_seeds = np.linalg.eigh(elements)[1][:, :, -1]
-    converged = False
-    rounds = 0
-    for rounds in range(1, MAX_ROUNDS + 1):
-        vectors, prior, value = _polish(vectors, prior, elements)
-        history.append(value)
-        vectors, prior = _compact(vectors, prior)
-        probs = _channel_probs(vectors, elements)
-        prior, value = _refit(probs, prior, 0.1 * margin)
-        history.append(value)
-
-        q = prior @ probs
-        cand_vectors, cand_probs, cand_vals = _max_relative_entropy_states(
-            q, elements, rng, n_probe, extra_inits=np.concatenate([vectors, element_seeds])
+    rngs, vectors, priors, histories = [], [], [], []
+    for k in restart_indices:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        v = rng.standard_normal((num_states, dim)) + 1j * rng.standard_normal((num_states, dim))
+        v = _normalize_rows(v)
+        prior = np.full(num_states, 1.0 / num_states)
+        rngs.append(rng)
+        vectors.append(v)
+        priors.append(prior)
+        histories.append([channel_mutual_information_nats(prior, _channel_probs(v, elements))])
+    values = [h[0] for h in histories]
+    rounds = [0] * len(rngs)
+    converged = [False] * len(rngs)
+    running = list(range(len(rngs)))
+    for round_ in range(1, MAX_ROUNDS + 1):
+        if not running:
+            break
+        for size in sorted({len(vectors[i]) for i in running}):
+            group = [i for i in running if len(vectors[i]) == size]
+            v, r, rates = _polish(np.stack([vectors[i] for i in group]),
+                                  np.stack([priors[i] for i in group]), elements)
+            for i, vi, ri, rate in zip(group, v, r, rates):
+                vectors[i], priors[i], values[i] = vi, ri, float(rate)
+        probs = {}
+        for i in running:
+            rounds[i] = round_
+            histories[i].append(values[i])
+            vectors[i], priors[i] = _compact(vectors[i], priors[i])
+            probs[i] = _channel_probs(vectors[i], elements)
+            priors[i], values[i] = _refit(probs[i], priors[i], 0.1 * margin)
+            histories[i].append(values[i])
+        found = _max_relative_entropy_states(
+            np.stack([priors[i] @ probs[i] for i in running]), elements,
+            [rngs[i] for i in running], n_probe,
+            [np.concatenate([vectors[i], element_seeds]) for i in running],
         )
-        best = int(np.argmax(cand_vals))
-        if cand_vals[best] <= value + margin:
-            converged = True
-            break
-        vectors = np.concatenate([vectors, cand_vectors[best][None, :]])
-        probs = np.concatenate([probs, cand_probs[best][None, :]])
-        for beta in 0.5 ** np.arange(1, 41):
-            r = np.append((1.0 - beta) * prior, beta)
-            rate = channel_mutual_information_nats(r, probs)
-            if rate > value:
-                prior, value = r, rate
-                break
-        else:
-            # no weight on the violator raises the rate at double precision
-            vectors = vectors[:-1]
-            break
-        history.append(value)
-    return _RestartOutcome(
-        value_nats=value,
-        vectors=vectors,
-        priors=prior,
-        iterations=rounds,
-        converged=converged,
-        history=tuple(history),
-    )
+        still = []
+        for i, (cand_vectors, cand_probs, cand_vals) in zip(running, found):
+            best = int(np.argmax(cand_vals))
+            if cand_vals[best] <= values[i] + margin:
+                converged[i] = True
+                continue
+            joined = np.concatenate([probs[i], cand_probs[best][None, :]])
+            for beta in 0.5 ** np.arange(1, 41):
+                r = np.append((1.0 - beta) * priors[i], beta)
+                rate = channel_mutual_information_nats(r, joined)
+                if rate > values[i]:
+                    vectors[i] = np.concatenate([vectors[i], cand_vectors[best][None, :]])
+                    priors[i], values[i] = r, rate
+                    histories[i].append(rate)
+                    still.append(i)
+                    break
+            # else no weight on the violator raises the rate at double precision
+        running = still
+    return [
+        _RestartOutcome(value_nats=values[i], vectors=vectors[i], priors=priors[i],
+                        iterations=rounds[i], converged=converged[i], history=tuple(histories[i]))
+        for i in range(len(rngs))
+    ]
 
 
 def _power_report(p: Povm, vectors: np.ndarray, prior: np.ndarray, base: LogBase, *,
@@ -447,11 +554,12 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> Po
     """Generic multistart column-generation estimate of W(Pi).
 
     The name is kept from the see-saw solver this replaced. Runs
-    ``cfg.restarts`` independently seeded restarts (optionally on a
-    process pool; results are identical for any ``jobs``), keeps the best,
-    compacts its ensemble, and reports the recomputed mutual information
-    of the final ensemble. Restarts differ in their starting ensembles and
-    in the random starts of the violator search, the one non-convex step.
+    ``cfg.restarts`` independently seeded restarts in lockstep, keeps the
+    best, compacts its ensemble, and reports the recomputed mutual
+    information of the final ensemble. Restarts differ in their starting
+    ensembles and in the random starts of the violator search, the one
+    non-convex step. ``jobs`` is accepted for compatibility and has no
+    effect: the restarts share one process.
 
     ``converged`` reflects the winning restart: True when no pure state
     beats the dual optimality bound at its output distribution by more
@@ -461,17 +569,7 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> Po
     """
     cfg = cfg or SolverConfig()
     m = cfg.resolved_num_states(p.dim)
-    columns = (repeat(p.elements), repeat(m), repeat(cfg.seed), range(cfg.restarts), repeat(cfg.tol))
-    if jobs > 1:
-        # imported here: the pool machinery costs about 2 MB of resident
-        # memory, which callers on one process never need
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_restart, *columns))
-    else:
-        outcomes = list(map(_run_restart, *columns))
-
+    outcomes = _run_restarts(p.elements, m, cfg.seed, range(cfg.restarts), cfg.tol)
     values = [o.value_nats for o in outcomes]
     best = outcomes[int(np.argmax(values))]
     vectors, prior = _compact(best.vectors, best.priors)
@@ -509,7 +607,8 @@ def informational_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1)
     off-diagonal entry above 1e-10 in any of them. On NotCommuting the
     multistart generic solver runs; a commuting POVM whose combination
     happens to be nearly degenerate also lands there and is solved more
-    slowly, under the generic solver's certificate.
+    slowly, under the generic solver's certificate. ``jobs`` is accepted
+    for compatibility and has no effect, as in ``see_saw_power``.
     """
     cfg = cfg or SolverConfig()
     try:

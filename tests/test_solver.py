@@ -294,7 +294,7 @@ def test_certifies_random_povms_within_dual_bound(dim, outcomes, povm_seed, seed
 def test_restart_history_is_monotone():
     for povm in (trine_povm(), tetrahedral_sic_povm()):
         for k in range(4):
-            out = solver._run_restart(povm.elements, 4, 0, k, 1e-9)
+            out = solver._run_restarts(povm.elements, 4, 0, [k], 1e-9)[0]
             h = np.array(out.history)
             assert np.all(np.diff(h) >= -1e-12), "see-saw objective must not decrease"
 
@@ -303,7 +303,7 @@ def test_restart_value_is_soundly_recomputable():
     """Per-restart lower-bound soundness against an independent MI formula."""
     p = tetrahedral_sic_povm()
     for k in range(3):
-        out = solver._run_restart(p.elements, 4, 0, k, 1e-9)
+        out = solver._run_restarts(p.elements, 4, 0, [k], 1e-9)[0]
         independent = mi_bits_pure(out.priors, out.vectors, p.elements) * LN2
         assert out.value_nats == pytest.approx(independent, abs=1e-12)
 
@@ -311,8 +311,86 @@ def test_restart_value_is_soundly_recomputable():
 def test_polish_reports_the_rate_of_its_result():
     p = random_povm(3, 5, seed=1)
     vectors = np.stack([s.amplitudes for s in random_pure_states(3, 9, seed=7)])
-    v, r, rate = solver._polish(vectors, np.full(9, 1 / 9), p.elements)
-    assert rate == channel_mutual_information_nats(r, solver._channel_probs(v, p.elements))
+    v, r, rate = solver._polish(vectors[None], np.full((1, 9), 1 / 9), p.elements)
+    assert rate[0] == channel_mutual_information_nats(r[0], solver._channel_probs(v[0], p.elements))
+
+
+def test_kernels_give_a_row_the_same_bits_alone_as_in_a_block():
+    """The probe and the polish stack many rows into one product; a row's
+    probabilities and its H must not depend on how many rows share it."""
+    p = random_povm(4, 8, seed=2)
+    vectors = np.stack([s.amplitudes for s in random_pure_states(4, 40, seed=3)])
+    probs = solver._channel_probs(vectors, p.elements)
+    lr = np.log(probs + 0.1)
+    h = solver._weighted_elements(lr, p.elements)
+    for i in range(0, 40, 7):
+        for k in (1, 2, 3):
+            rows = slice(i, i + k)
+            assert np.array_equal(solver._channel_probs(vectors[rows], p.elements), probs[rows])
+            assert np.array_equal(solver._weighted_elements(lr[rows], p.elements), h[rows])
+
+
+@pytest.mark.parametrize(
+    "povm",
+    [trine_povm(), tetrahedral_sic_povm(), random_povm(3, 5, seed=1), random_povm(4, 8, seed=2)],
+    ids=["trine", "sic", "rand3x5", "rand4x8"],
+)
+def test_restart_does_not_depend_on_its_batch(povm):
+    """Restarts share numpy calls in lockstep; each must still be exactly
+    the run it would be alone, as (seed, restart_index) alone decide it."""
+    m = povm.dim ** 2
+    batch = solver._run_restarts(povm.elements, m, 0, range(6), 1e-9)
+    for k in range(6):
+        alone = solver._run_restarts(povm.elements, m, 0, [k], 1e-9)[0]
+        together = batch[k]
+        assert alone.value_nats == together.value_nats
+        assert np.array_equal(alone.vectors, together.vectors)
+        assert np.array_equal(alone.priors, together.priors)
+        assert alone.history == together.history
+        assert alone.iterations == together.iterations
+        assert alone.converged == together.converged
+
+
+def test_lbfgs_rows_stop_on_their_own():
+    """Rows of a separable concave quadratic with different conditioning
+    stop at different ticks; a stopped row is never evaluated or changed
+    again, and every row ends exactly where it ends when run alone."""
+    scales = np.array([[1.0, 1.0, 1.0], [1.0, 30.0, 1e3], [1.0, 1e3, 1e6]])
+    centre = np.array([1.0, -2.0, 0.5])
+    ticks: list[np.ndarray] = []
+
+    def fg(x):
+        # the last coordinate names the row's quadratic; its gradient is
+        # zero, so it never moves
+        rows = x[:, -1].astype(int)
+        ticks.append(rows)
+        a, dx = scales[rows], x[:, :-1] - centre
+        return -0.5 * np.sum(a * dx**2, axis=1), np.column_stack([-a * dx, np.zeros(len(x))])
+
+    start = np.column_stack([np.zeros((3, 3)), np.arange(3.0)])
+    x, f = solver._lbfgs_ascent(fg, start, solver.POLISH_MAX_ITER)
+    last = [max(t for t, rows in enumerate(ticks) if r in rows) for r in range(3)]
+    assert len(set(last)) == 3, "the rows should stop at different ticks"
+    for r in range(3):
+        assert all(r in rows for rows in ticks[: last[r] + 1]), "a stopped row came back"
+    assert np.all(f > -1e-12) and np.all(f <= 0.0)
+    for r in range(3):
+        ticks.clear()
+        x_alone, f_alone = solver._lbfgs_ascent(fg, start[r : r + 1], solver.POLISH_MAX_ITER)
+        assert np.array_equal(x_alone[0], x[r]) and f_alone[0] == f[r]
+        assert len(ticks) == last[r] + 1
+
+
+def test_certified_restarts_sit_within_the_margin_of_the_best():
+    """A restart may certify only within the margin of the best rate any
+    restart found; one stopped on another's probe would fall short."""
+    p = random_povm(4, 8, seed=2)
+    tol = 1e-9
+    outcomes = solver._run_restarts(p.elements, 16, 0, range(20), tol)
+    best = max(o.value_nats for o in outcomes)
+    for o in outcomes:
+        if o.converged:
+            assert o.value_nats >= best - max(10 * tol, 1e-9)
 
 
 def test_unitary_covariance_of_power():
