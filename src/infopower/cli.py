@@ -10,6 +10,7 @@ when --seed is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -181,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a POVM file against its invariants")
     add_input(p)
     p.add_argument("--tol", type=float, default=serialize.INGEST_TOL)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("solve", help="compute the informational power of a POVM")
     add_input(p)
@@ -193,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the full report to this path")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; restarts run in lockstep in one process")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("duality", help="map a POVM to its dual ensemble or back")
     add_input(p)
@@ -201,21 +200,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", default="maxmix", help="reference state file, or 'maxmix' (default)")
     p.add_argument("--check", action="store_true", help="include the round-trip residual")
     p.add_argument("--out", help="also write the result to this path")
-    p.set_defaults(func=cmd_duality)
 
     p = sub.add_parser("capacity", help="classical channel capacity via Blahut-Arimoto")
     p.add_argument("path", help="channel JSON file")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--base", choices=[b.value for b in LogBase], default="bits")
-    p.set_defaults(func=cmd_capacity)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs over ten times a parse."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so that wrappers bound after the parser was
+    # built (such as a tracer's) are the ones called
+    commands = {
+        "validate": cmd_validate,
+        "solve": cmd_solve,
+        "duality": cmd_duality,
+        "capacity": cmd_capacity,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,13 @@ row-major nested arrays; every document carries an explicit "kind" tag so
 files cannot be fed to the wrong subcommand. Floats rely on Python's
 shortest round-trip repr, so writing and re-reading a document reproduces
 every double bit-exactly.
+
+``dumps`` writes exactly the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True) + "\n"``, but lays out the indentation itself. Before
+Python 3.13, CPython uses its C encoder only when ``indent`` is None, so
+json's own indented output runs the pure-Python encoder token by token;
+here every scalar, key and rectangular numeric list goes through one
+compact C encoder, and only the line breaks are added in Python.
 """
 
 from __future__ import annotations
@@ -26,6 +33,9 @@ KIND_ENSEMBLE = "ensemble"
 KIND_CHANNEL = "channel"
 KIND_STATE = "state"
 KIND_REPORT = "report"
+
+# json's C encoder; indent=None, so json.JSONEncoder.iterencode takes it
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -73,7 +83,7 @@ def load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level JSON value must be an object")
@@ -104,10 +114,16 @@ def ensemble_from_document(doc: dict) -> Ensemble:
         raise SchemaError("ensemble file: states must be a non-empty list")
     if not isinstance(priors, list) or len(priors) != len(nodes):
         raise SchemaError("ensemble file: priors and states must have equal length")
+    try:
+        p = np.asarray(priors, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("ensemble file: malformed priors") from exc
+    if not np.isfinite(p).all():
+        raise SchemaError("ensemble file: non-finite priors")
     states = tuple(
         DensityOperator(decode_matrix(n, dim, f"ensemble state {i}")) for i, n in enumerate(nodes)
     )
-    return Ensemble(np.asarray(priors, dtype=float), states)
+    return Ensemble(p, states)
 
 
 def state_from_document(doc: dict) -> DensityOperator:
@@ -125,6 +141,8 @@ def channel_from_document(doc: dict) -> ClassicalChannel:
         raise SchemaError("channel file: malformed probability matrix") from exc
     if m.ndim != 2:
         raise SchemaError(f"channel file: probs must be a 2-D matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise SchemaError("channel file: non-finite probabilities")
     return ClassicalChannel(m)
 
 
@@ -191,8 +209,58 @@ def capacity_to_document(res: BlahutArimotoResult, base_name: str) -> dict:
 
 
 def dumps(doc: dict) -> str:
-    """Deterministic serialization: sorted keys, two-space indent."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Deterministic serialization: sorted keys, two-space indent.
+
+    The result equals ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``
+    byte for byte; dict keys must be strings. Before Python 3.13 json
+    drops its C encoder whenever ``indent`` is set, which made writing a
+    large POVM slower than computing it.
+    """
+    return _layout_value(doc, "\n") + "\n"
+
+
+def _layout_value(node: Any, newline: str) -> str:
+    """``node`` as json's indent=2 layout, its line breaks being ``newline``."""
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key in sorted(node):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_encode(key) + ": " + _layout_value(node[key], inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(node, (list, tuple)) and node:
+        shape = _numeric_shape(node)
+        if shape is None:
+            inner = newline + "  "
+            items = [_layout_value(item, inner) for item in node]
+            return "[" + inner + ("," + inner).join(items) + newline + "]"
+        # one compact C encode; its leaves are numbers, true or false,
+        # so no leaf holds a bracket or a comma
+        leaves = _encode(node).translate(str.maketrans("", "", "[]")).split(",")
+        return _array_layout(shape, newline) % tuple(leaves)
+    return _encode(node)
+
+
+def _numeric_shape(node: list | tuple) -> tuple[int, ...] | None:
+    """Shape of a rectangular, non-empty list of bools, ints or floats."""
+    try:
+        a = np.asarray(node)
+    except ValueError:  # ragged
+        return None
+    return a.shape if a.size and a.dtype.kind in "biuf" else None
+
+
+def _array_layout(shape: tuple[int, ...], newline: str) -> str:
+    """json's indent=2 layout of an array of ``shape``, one ``%s`` per leaf."""
+    row = "%s"
+    for k in reversed(range(len(shape))):
+        outer = newline + "  " * k
+        inner = outer + "  "
+        row = "[" + inner + ("," + inner).join([row] * shape[k]) + outer + "]"
+    return row
 
 
 def write_document(path: str, doc: dict) -> None:

@@ -287,6 +287,66 @@ def test_capacity_nats(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# unreadable input exits 2 whatever the subcommand and field
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["capacity"], ["duality", "--direction", "to-povm"]],
+)
+def test_non_utf8_input_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, _, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["validate"], '{"kind": "povm", "dim": 1, "elements": [[[[1e999, 0.0]]]]}'),
+        (["capacity"], '{"kind": "channel", "probs": [[NaN, 0.5], [0.5, 0.5]]}'),
+        (["capacity"], '{"kind": "channel", "probs": [[Infinity, 0.0], [0.5, 0.5]]}'),
+        (
+            ["duality", "--direction", "to-povm"],
+            '{"kind": "ensemble", "dim": 1, "priors": [NaN], "states": [[[[1.0, 0.0]]]]}',
+        ),
+    ],
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert "non-finite" in err
+
+
+# ---------------------------------------------------------------------------
+# one parser serves every call in a process
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    solve = ["solve", "--example", "trine", "--restarts", "6", "--seed", "7"]
+    assert main(solve + ["--out", str(first)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity", "x.json", "--base", "bogus"])
+    assert exc.value.code == 2
+    assert main(solve) == 0
+    assert os.listdir(tmp_path) == ["a.json"]
+    assert main(solve + ["--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+    capsys.readouterr()
+    duality = ["duality", "--example", "sic", "--direction", "to-ensemble"]
+    assert main(duality + ["--check"]) == 0
+    assert "round_trip_residual" in json.loads(capsys.readouterr().out)
+    assert main(duality) == 0
+    assert not [k for k in json.loads(capsys.readouterr().out) if k.startswith("round_trip_")]
+
+
+# ---------------------------------------------------------------------------
 # module entry point
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from infopower import serialize
 from infopower.errors import SchemaError
@@ -176,3 +176,117 @@ def test_decode_matrix_rejects_nonfinite():
     node = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     with pytest.raises(SchemaError):
         serialize.decode_matrix(node, 2, "m")
+
+
+# ---------------------------------------------------------------------------
+# dumps writes exactly what json.dumps(indent=2, sort_keys=True) writes
+
+
+def json_reference(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+AWKWARD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]
+BIG_INTS = [2**63 - 1, 2**63, 2**64, 2**70, -(2**63) - 1]
+awkward_text = st.text(st.sampled_from('[],:"\\ aé☃\x00\n') | st.characters(), max_size=6)
+numbers = (
+    st.booleans()
+    | st.integers()
+    | st.sampled_from(BIG_INTS)
+    | st.floats(width=64)
+    | st.sampled_from(AWKWARD_FLOATS)
+    | st.floats(width=64).map(np.float64)
+)
+
+
+@st.composite
+def rectangular_lists(draw):
+    """Nested lists of one shape, with bool, int and float leaves mixed."""
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    size = int(np.prod(shape))
+    leaves = iter(draw(st.lists(numbers, min_size=size, max_size=size)))
+
+    def build(dims):
+        if not dims:
+            return next(leaves)
+        return [build(dims[1:]) for _ in range(dims[0])]
+
+    return build(shape)
+
+
+json_leaves = st.none() | numbers | awkward_text | rectangular_lists()
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(awkward_text, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=100)
+@given(st.dictionaries(awkward_text, json_values, max_size=5))
+def test_dumps_matches_json_on_any_document(doc):
+    assert serialize.dumps(doc) == json_reference(doc)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        # same leaf and list counts as a 2x2x2 array, but ragged
+        [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0, 7.0], [8.0]]],
+        [[], []],
+        [[[]]],
+        [np.float64(0.1), np.float64(-0.0), 2.5],
+        [True, 2],
+        [[True, 2.5], [3, False]],
+        [1.0, 2**70],
+        [1.0, "2"],
+        [1.0, None],
+        [[1.0, 2.0], {"a": [3.0]}],
+        (1.0, (2.0, 3.0)),
+        [(1.0, 2.0), [3.0, 4.0]],
+        AWKWARD_FLOATS,
+        {},
+        [],
+    ],
+)
+def test_dumps_matches_json_on_traps(value):
+    doc = {"value": value, 'k"e:y[]é': [value, {"inner": value}]}
+    assert serialize.dumps(doc) == json_reference(doc)
+
+
+def test_dumps_rejects_non_string_keys():
+    with pytest.raises(TypeError):
+        serialize.dumps({"a": {1: 2.0}})
+
+
+def test_dumps_matches_json_on_every_document_kind(tmp_path, monkeypatch, capsys):
+    from infopower.cli import main
+    from infopower.duality import ensemble_from_povm
+
+    povm = random_povm(16, 64, seed=3)
+    ensemble, _ = ensemble_from_povm(povm, maximally_mixed(16))
+    rng = np.random.default_rng(64)
+    channel = ClassicalChannel(rng.dirichlet(np.ones(64), size=64))
+    sic = informational_power(tetrahedral_sic_povm(), SolverConfig(restarts=2, seed=0))
+    docs = [
+        serialize.povm_to_document(povm),
+        serialize.ensemble_to_document(ensemble),
+        serialize.state_to_document(ensemble.states[5]),
+        serialize.channel_to_document(channel),
+        serialize.report_to_document(sic),
+        serialize.capacity_to_document(blahut_arimoto(channel), "bits"),
+    ]
+    # the validation and duality documents are built inside the CLI
+    path = tmp_path / "povm.json"
+    serialize.write_document(str(path), docs[0])
+    emitted = []
+    dumps = serialize.dumps
+    monkeypatch.setattr(serialize, "dumps", lambda doc: emitted.append(doc) or dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    assert main(["duality", str(path), "--direction", "to-ensemble", "--check"]) == 0
+    capsys.readouterr()
+    assert [doc["kind"] for doc in emitted] == ["validation", "ensemble"]
+    for doc in docs + emitted:
+        assert dumps(doc) == json_reference(doc), doc["kind"]
