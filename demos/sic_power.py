@@ -38,7 +38,7 @@ directions = [np.linalg.eigh(el)[1][:, -1] for el in povm.elements]
 print("  |<pi_i|psi_j>| between SIC directions and solver states:")
 for i, d in enumerate(directions):
     overlaps = [
-        abs(np.vdot(d, np.linalg.eigh(s.matrix)[1][:, -1]))
+        abs(np.vdot(d, np.linalg.eigh(s)[1][:, -1]))
         for s in report.best_ensemble.states
     ]
     print(f"    pi_{i}: " + "  ".join(f"{o:.6f}" for o in overlaps))

@@ -30,7 +30,7 @@ from .objects import (
     trine_povm,
     validate_povm,
 )
-from .duality import duality_round_trip_check, ensemble_from_povm, povm_from_ensemble
+from .duality import _round_trip_report, ensemble_from_povm, povm_from_ensemble
 from .solver import SolverConfig, informational_power
 
 EXAMPLES = ("sic", "projective2", "projective3", "trine", "trivial")
@@ -122,7 +122,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
         doc = serialize.ensemble_to_document(ens)
         doc["dropped_outcomes"] = dropped
         if args.check:
-            rt = duality_round_trip_check(povm, sigma)
+            rt = _round_trip_report(povm, ens, dropped)
             doc["round_trip_residual"] = rt.max_residual
             doc["round_trip_passed"] = rt.passed
     else:
@@ -144,14 +144,12 @@ def cmd_duality(args: argparse.Namespace) -> int:
 
 
 def _ensemble_distance(a, b) -> float:
-    kept = [i for i in range(len(a)) if a.priors[i] > 1e-14]
-    if len(kept) != len(b):
+    kept = a.priors > 1e-14
+    if np.count_nonzero(kept) != len(b):
         return float("inf")
-    worst = 0.0
-    for pos, i in enumerate(kept):
-        worst = max(worst, abs(float(a.priors[i]) - float(b.priors[pos])))
-        worst = max(worst, float(np.linalg.norm(a.states[i].matrix - b.states[pos].matrix)))
-    return worst
+    # per-matrix norms: with axis=(1, 2) numpy sums in another order, changing last bits
+    worst = max(np.linalg.norm(d) for d in a.states[kept] - b.states)
+    return float(max(np.abs(a.priors[kept] - b.priors).max(), worst))
 
 
 def _load_sigma(spec: str, dim: int) -> DensityOperator:

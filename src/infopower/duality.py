@@ -33,7 +33,7 @@ def povm_from_ensemble(s: Ensemble, rank_tol: float = linalg.DEFAULT_RANK_TOL) -
     if not keep.any():
         raise ValueError("povm_from_ensemble: all ensemble members have zero prior")
     priors = s.priors[keep]
-    states = s.states_stack()[keep]
+    states = s.states[keep]
 
     sigma_s = np.einsum("i,idc->dc", priors, states)
     w = linalg.pinv_sqrt(sigma_s, rank_tol)
@@ -41,18 +41,15 @@ def povm_from_ensemble(s: Ensemble, rank_tol: float = linalg.DEFAULT_RANK_TOL) -
 
     # every member must live on the support of sigma_S
     kernel = np.eye(s.dim) - proj
-    for i, (q, sig) in enumerate(zip(priors, states)):
-        leak = float(np.linalg.norm(kernel @ sig @ kernel)) * q
-        if leak > 1e-8:
-            raise ValueError(
-                f"povm_from_ensemble: member {i} leaks {leak:.3e} outside the support of sigma_S"
-            )
+    leaks = np.linalg.norm(kernel @ states @ kernel, axis=(1, 2)) * priors
+    if (leaks > 1e-8).any():
+        i = int((leaks > 1e-8).argmax())
+        raise ValueError(f"povm_from_ensemble: member {i} leaks {leaks[i]:.3e} outside the support of sigma_S")
 
-    elements = [q * (w @ sig @ w) for q, sig in zip(priors, states)]
-    deficiency = float(np.trace(kernel).real)
-    if deficiency > 0.5:
-        elements.append(kernel)
-    return Povm(np.stack(elements))
+    elements = priors[:, None, None] * (w @ states @ w)
+    if np.trace(kernel).real > 0.5:  # sigma_S is rank-deficient
+        elements = np.concatenate([elements, kernel[None]])
+    return Povm(elements)
 
 
 def ensemble_from_povm(
@@ -69,16 +66,13 @@ def ensemble_from_povm(
         raise DimensionMismatch(f"POVM dim {l.dim} vs state dim {sigma.dim}")
     root = linalg.matrix_sqrt(sigma.matrix)
     q = np.einsum("dc,jcd->j", sigma.matrix, l.elements).real
-    kept = [j for j in range(l.num_outcomes) if q[j] > zero_tol]
-    dropped = [j for j in range(l.num_outcomes) if q[j] <= zero_tol]
-    if not kept:
+    keep = q > zero_tol
+    if not keep.any():
         raise ValueError("ensemble_from_povm: every outcome has zero probability on sigma")
-    states = []
-    for j in kept:
-        m = root @ l.elements[j] @ root
-        states.append(DensityOperator(m / float(np.trace(m).real)))
-    priors = q[kept] / q[kept].sum()
-    return Ensemble(priors, tuple(states)), dropped
+    states = root @ l.elements[keep] @ root
+    states = states / np.trace(states, axis1=1, axis2=2).real[:, None, None]
+    priors = q[keep] / q[keep].sum()
+    return Ensemble(priors, states), np.flatnonzero(~keep).tolist()
 
 
 @dataclass(frozen=True)
@@ -112,20 +106,23 @@ def duality_round_trip_check(
     residuals either way.
     """
     ens, dropped = ensemble_from_povm(l, sigma)
-    back = povm_from_ensemble(ens)
-    residuals = np.zeros(l.num_outcomes)
-    kept = [j for j in range(l.num_outcomes) if j not in set(dropped)]
-    for pos, j in enumerate(kept):
-        residuals[j] = float(np.linalg.norm(back.elements[pos] - l.elements[j]))
-    for j in dropped:
-        residuals[j] = float(np.linalg.norm(l.elements[j]))
-    extra = 0.0
-    if back.num_outcomes > len(kept):
-        extra = float(sum(np.linalg.norm(m) for m in back.elements[len(kept):]))
-    worst = float(max(residuals.max(), extra))
+    return _round_trip_report(l, ens, dropped, tol)
+
+
+def _round_trip_report(l: Povm, ens: Ensemble, dropped: list[int], tol: float = 1e-8) -> RoundTripReport:
+    """The round-trip report on ``(ens, dropped)``, the result of
+    ``ensemble_from_povm`` on ``l``, mapped already by the caller."""
+    back = povm_from_ensemble(ens).elements
+    # back[pos] is the image of the pos-th kept outcome; a dropped one's is 0
+    kept = np.setdiff1d(np.arange(l.num_outcomes), dropped)
+    target = np.zeros_like(l.elements)
+    target[kept] = back[: kept.size]
+    residuals = [float(np.linalg.norm(t - m)) for t, m in zip(target, l.elements)]
+    extra = float(sum(np.linalg.norm(m) for m in back[kept.size:]))
+    worst = max(*residuals, extra)
     return RoundTripReport(
         max_residual=worst,
-        element_residuals=tuple(float(r) for r in residuals),
+        element_residuals=tuple(residuals),
         dropped_outcomes=tuple(dropped),
         extra_element_norm=extra,
         tol=tol,

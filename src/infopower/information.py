@@ -105,7 +105,7 @@ def outcome_probabilities(e: Ensemble, p: Povm) -> np.ndarray:
     """
     if e.dim != p.dim:
         raise DimensionMismatch(f"ensemble dim {e.dim} vs POVM dim {p.dim}")
-    probs = np.einsum("idc,jcd->ij", e.states_stack(), p.elements).real
+    probs = np.einsum("idc,jcd->ij", e.states, p.elements).real
     slack = 1e-12 + _povm_slack(p)
     if probs.min() < -slack or probs.max() > 1.0 + slack:
         raise ValueError(
@@ -178,7 +178,7 @@ def mutual_information(e: Ensemble, p: Povm, base: LogBase = LogBase.BITS) -> fl
 def apply_qc_channel(p: Povm, rho: DensityOperator) -> Distribution:
     """Outcome distribution Tr[rho Pi_j] of measuring rho with the POVM:
     the one-member case of ``joint_statistics``, with its tolerances."""
-    return Distribution(joint_statistics(Ensemble(np.ones(1), (rho,)), p).probs[0])
+    return Distribution(joint_statistics(Ensemble(np.ones(1), rho.matrix[None]), p).probs[0])
 
 
 @dataclass(frozen=True)

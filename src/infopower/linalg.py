@@ -32,7 +32,7 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
     eigenvectors in the columns of ``v``, so ``m = v @ diag(w) @ v†``.
@@ -48,7 +48,7 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(
-            f"eigh failed to converge on a {h.shape[0]}x{h.shape[0]} matrix "
+            f"eigh failed to converge on an array of shape {h.shape} "
             f"with Frobenius norm {np.linalg.norm(h):.3e}: {exc}"
         ) from exc
     return w, v

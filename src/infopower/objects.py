@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NotPositiveSemidefinite
+from .errors import NotPositiveSemidefinite
 
 CONSTRUCTION_COMPLETENESS_TOL = 1e-9
 
@@ -37,6 +37,29 @@ def bloch_operator(n: np.ndarray) -> np.ndarray:
     return 0.5 * (np.eye(2, dtype=complex) + n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
 
+def _density_matrices(m: np.ndarray, ndim: int, what: str) -> np.ndarray:
+    """``m`` hermitized, once checked to be one density matrix (``ndim`` 2)
+    or a stack of them (``ndim`` 3): finite, PSD within ``linalg.PSD_TOL``,
+    unit trace within 1e-10. A stack's errors name its first failing member."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{what} must be {ndim}-D and square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} contains non-finite entries")
+    m = linalg.hermitize(m)
+    stack = m.reshape(-1, *m.shape[-2:])
+    w0 = np.linalg.eigvalsh(stack)[:, 0]
+    tr = np.trace(stack, axis1=1, axis2=2).real
+    bad = np.flatnonzero((w0 < -linalg.PSD_TOL) | (np.abs(tr - 1.0) > 1e-10))
+    if bad.size:
+        i = int(bad[0])
+        name = what if ndim == 2 else f"{what} {i}"
+        if w0[i] < -linalg.PSD_TOL:
+            raise NotPositiveSemidefinite(f"{name} eigenvalue {w0[i]:.3e} below -{linalg.PSD_TOL:.0e}")
+        raise ValueError(f"{name} trace {float(tr[i])!r} is not 1 within 1e-10")
+    return m
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """PSD unit-trace operator; the matrix is symmetrized at construction."""
@@ -44,20 +67,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = linalg.hermitize(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density operator must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("density operator contains non-finite entries")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -linalg.PSD_TOL:
-            raise NotPositiveSemidefinite(
-                f"density operator eigenvalue {w[0]:.3e} below -{linalg.PSD_TOL:.0e}"
-            )
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density operator trace {tr!r} is not 1 within 1e-10")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _density_matrices(self.matrix, 2, "density operator"))
 
     @property
     def dim(self) -> int:
@@ -156,16 +166,19 @@ class Povm:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Prior probabilities paired with density operators of a common dimension."""
+    """Prior probabilities paired with density operators of a common dimension.
+
+    ``states`` is stored as a single (M, D, D) complex array, as ``Povm.elements`` is.
+    """
 
     priors: np.ndarray
-    states: tuple[DensityOperator, ...]
+    states: np.ndarray
 
     def __post_init__(self) -> None:
         p = np.asarray(self.priors, dtype=float).reshape(-1)
-        states = tuple(self.states)
-        if p.shape[0] != len(states):
-            raise ValueError(f"{p.shape[0]} priors but {len(states)} states")
+        states = _density_matrices(self.states, 3, "ensemble state")
+        if p.shape[0] != states.shape[0]:
+            raise ValueError(f"{p.shape[0]} priors but {states.shape[0]} states")
         if p.shape[0] < 1:
             raise ValueError("ensemble needs at least one member")
         if not np.isfinite(p).all():
@@ -174,29 +187,30 @@ class Ensemble:
             raise ValueError(f"negative prior {p.min()!r}")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"priors sum to {p.sum()!r}, not 1 within 1e-12")
-        dims = {s.dim for s in states}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"ensemble states have mixed dimensions {sorted(dims)}")
         object.__setattr__(self, "priors", p)
         object.__setattr__(self, "states", states)
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.states.shape[1]
 
     def __len__(self) -> int:
         return self.priors.shape[0]
 
     def states_stack(self) -> np.ndarray:
-        """All member matrices as one (M, D, D) array."""
-        return np.stack([s.matrix for s in self.states])
+        """``states``, the (M, D, D) array itself."""
+        return self.states
 
     @staticmethod
     def from_pure(priors: np.ndarray, vectors: np.ndarray) -> "Ensemble":
         """Build an ensemble of pure states from unit row vectors (M, D)."""
-        vectors = np.asarray(vectors, dtype=complex)
-        states = tuple(PureState(v).to_density() for v in vectors)
-        return Ensemble(np.asarray(priors, dtype=float), states)
+        v = np.asarray(vectors, dtype=complex)
+        norms = np.linalg.norm(v, axis=-1)
+        bad = np.abs(norms - 1.0) > 1e-12
+        if bad.any():
+            raise ValueError(f"pure state norm {float(norms[bad][0])!r} is not 1 within 1e-12")
+        # non-finite rows pass the norm check as NaN and fail in Ensemble
+        return Ensemble(np.asarray(priors, dtype=float), v[:, :, None] * v[:, None, :].conj())
 
 
 @dataclass(frozen=True)
@@ -243,8 +257,7 @@ def validate_povm(p: Povm | np.ndarray | list, tol: float = 1e-8) -> ValidationR
 
 def ensemble_average(e: Ensemble) -> DensityOperator:
     """The average state sigma_S = sum_i p_i rho_i."""
-    avg = np.einsum("i,idc->dc", e.priors, e.states_stack())
-    return DensityOperator(avg)
+    return DensityOperator(np.einsum("i,idc->dc", e.priors, e.states))
 
 
 def maximally_mixed(dim: int) -> DensityOperator:
@@ -263,9 +276,7 @@ def anti_tetrahedral_ensemble() -> Ensemble:
     Each member is orthogonal to the matching SIC element's direction:
     <pi_i|psi_i> = 0.
     """
-    priors = np.full(4, 0.25)
-    states = tuple(DensityOperator(bloch_operator(-n)) for n in TETRAHEDRON)
-    return Ensemble(priors, states)
+    return Ensemble(np.full(4, 0.25), np.stack([bloch_operator(-n) for n in TETRAHEDRON]))
 
 
 def projective_povm(basis: np.ndarray) -> Povm:

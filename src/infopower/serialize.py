@@ -48,15 +48,26 @@ def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def decode_matrix(node: Any, dim: int, what: str) -> np.ndarray:
+    return _decode_complex(node, (dim, dim), what)
+
+
+def _decode_complex(node: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A complex array of ``shape`` from nested [re, im] pairs."""
+    m = _decode_floats(node, what)
+    if m.shape != (*shape, 2):
+        raise SchemaError(f"{what}: expected complex entries of shape {shape}, got shape {m.shape}")
+    return m[..., 0] + 1j * m[..., 1]
+
+
+def _decode_floats(node: Any, what: str) -> np.ndarray:
+    """``node`` as a finite float array."""
     try:
         m = np.asarray(node, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what}: malformed matrix entries") from exc
-    if m.shape != (dim, dim, 2):
-        raise SchemaError(f"{what}: expected a {dim}x{dim} complex matrix, got shape {m.shape}")
+        raise SchemaError(f"{what}: malformed numbers") from exc
     if not np.isfinite(m).all():
-        raise SchemaError(f"{what}: non-finite matrix entries")
-    return m[..., 0] + 1j * m[..., 1]
+        raise SchemaError(f"{what}: non-finite numbers")
+    return m
 
 
 def _require(doc: Any, key: str, what: str) -> Any:
@@ -97,7 +108,7 @@ def povm_elements_from_document(doc: dict) -> np.ndarray:
     nodes = _require(doc, "elements", "povm file")
     if not isinstance(nodes, list) or not nodes:
         raise SchemaError("povm file: elements must be a non-empty list")
-    return np.stack([decode_matrix(n, dim, f"povm element {j}") for j, n in enumerate(nodes)])
+    return _decode_complex(nodes, (len(nodes), dim, dim), "povm file elements")
 
 
 def povm_from_document(doc: dict, tol: float = INGEST_TOL) -> Povm:
@@ -114,16 +125,8 @@ def ensemble_from_document(doc: dict) -> Ensemble:
         raise SchemaError("ensemble file: states must be a non-empty list")
     if not isinstance(priors, list) or len(priors) != len(nodes):
         raise SchemaError("ensemble file: priors and states must have equal length")
-    try:
-        p = np.asarray(priors, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("ensemble file: malformed priors") from exc
-    if not np.isfinite(p).all():
-        raise SchemaError("ensemble file: non-finite priors")
-    states = tuple(
-        DensityOperator(decode_matrix(n, dim, f"ensemble state {i}")) for i, n in enumerate(nodes)
-    )
-    return Ensemble(p, states)
+    p = _decode_floats(priors, "ensemble file priors")
+    return Ensemble(p, _decode_complex(nodes, (len(nodes), dim, dim), "ensemble file states"))
 
 
 def state_from_document(doc: dict) -> DensityOperator:
@@ -134,15 +137,9 @@ def state_from_document(doc: dict) -> DensityOperator:
 
 def channel_from_document(doc: dict) -> ClassicalChannel:
     _check_kind(doc, KIND_CHANNEL, "channel file")
-    probs = _require(doc, "probs", "channel file")
-    try:
-        m = np.asarray(probs, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("channel file: malformed probability matrix") from exc
+    m = _decode_floats(_require(doc, "probs", "channel file"), "channel file probs")
     if m.ndim != 2:
         raise SchemaError(f"channel file: probs must be a 2-D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise SchemaError("channel file: non-finite probabilities")
     return ClassicalChannel(m)
 
 
@@ -150,7 +147,7 @@ def povm_to_document(p: Povm) -> dict:
     return {
         "kind": KIND_POVM,
         "dim": p.dim,
-        "elements": [encode_matrix(m) for m in p.elements],
+        "elements": encode_matrix(p.elements),
     }
 
 
@@ -158,8 +155,8 @@ def ensemble_to_document(e: Ensemble) -> dict:
     return {
         "kind": KIND_ENSEMBLE,
         "dim": e.dim,
-        "priors": [float(x) for x in e.priors],
-        "states": [encode_matrix(s.matrix) for s in e.states],
+        "priors": e.priors.tolist(),
+        "states": encode_matrix(e.states),
     }
 
 
@@ -168,7 +165,7 @@ def state_to_document(rho: DensityOperator) -> dict:
 
 
 def channel_to_document(ch: ClassicalChannel) -> dict:
-    return {"kind": KIND_CHANNEL, "probs": [[float(x) for x in row] for row in ch.probs]}
+    return {"kind": KIND_CHANNEL, "probs": ch.probs.tolist()}
 
 
 def report_to_document(rep: PowerReport) -> dict:
@@ -201,7 +198,7 @@ def capacity_to_document(res: BlahutArimotoResult, base_name: str) -> dict:
         "kind": "capacity",
         "capacity": float(res.capacity),
         "base": base_name,
-        "optimal_prior": [float(x) for x in res.optimal_prior.probs],
+        "optimal_prior": res.optimal_prior.probs.tolist(),
         "converged": bool(res.converged),
         "iterations": int(res.iterations),
         "gap": float(res.gap),

@@ -636,15 +636,12 @@ def state_gradient(e: Ensemble, p: Povm) -> list[np.ndarray]:
 
 def _pure_vectors(e: Ensemble, tol: float = 1e-8) -> np.ndarray:
     """Extract amplitude vectors from rank-1 members; error on mixed ones."""
-    vectors = []
-    for i, s in enumerate(e.states):
-        w, v = linalg.eigh(s.matrix)
-        if w[-1] < 1.0 - tol:
-            raise ValueError(
-                f"ensemble member {i} is mixed (top eigenvalue {w[-1]!r}); pure states required"
-            )
-        vectors.append(v[:, -1])
-    return np.stack(vectors)
+    w, v = linalg.eigh(e.states)
+    mixed = w[:, -1] < 1.0 - tol
+    if mixed.any():
+        i = int(mixed.argmax())
+        raise ValueError(f"ensemble member {i} is mixed (top eigenvalue {w[i, -1]!r}); pure states required")
+    return v[:, :, -1]
 
 
 def additivity_check(p1: Povm, p2: Povm, cfg: SolverConfig | None = None) -> AdditivityReport:

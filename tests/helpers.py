@@ -209,7 +209,7 @@ def fd_state_gradient(ensemble, povm, i: int, h: float = 1e-6) -> np.ndarray:
     Perturbations are renormalized before evaluating, so this approximates
     the gradient restricted to the unit sphere.
     """
-    vectors = np.stack([np.linalg.eigh(s.matrix)[1][:, -1] for s in ensemble.states])
+    vectors = np.stack([np.linalg.eigh(s)[1][:, -1] for s in ensemble.states])
 
     def value(v: np.ndarray) -> float:
         vecs = vectors.copy()

@@ -71,7 +71,7 @@ def _cli_env() -> dict:
 
 
 def _pure_vectors_of(ens: Ensemble) -> list[np.ndarray]:
-    return [top_eigenvector(s.matrix) for s in ens.states]
+    return [top_eigenvector(s) for s in ens.states]
 
 
 # ---------------------------------------------------------------------------

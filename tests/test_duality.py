@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from infopower import linalg
 from infopower.duality import (
     RoundTripReport,
     duality_round_trip_check,
@@ -36,7 +37,7 @@ def test_povm_from_anti_tetrahedral_ensemble_is_anti_sic():
     p = povm_from_ensemble(e)
     assert p.num_outcomes == 4
     for element, s in zip(p.elements, e.states):
-        assert np.allclose(element, s.matrix / 2.0, atol=1e-12)
+        assert np.allclose(element, s / 2.0, atol=1e-12)
 
 
 def test_ensemble_from_sic_povm_is_tetrahedral():
@@ -46,7 +47,7 @@ def test_ensemble_from_sic_povm_is_tetrahedral():
     assert dropped == []
     assert np.allclose(e.priors, 0.25, atol=1e-12)
     for s, element in zip(e.states, p.elements):
-        assert np.allclose(s.matrix, element / np.trace(element).real, atol=1e-12)
+        assert np.allclose(s, element / np.trace(element).real, atol=1e-12)
 
 
 def test_trivial_povm_maps_to_reference_state():
@@ -55,7 +56,7 @@ def test_trivial_povm_maps_to_reference_state():
     assert dropped == []
     assert len(e) == 1
     assert e.priors[0] == pytest.approx(1.0)
-    assert np.allclose(e.states[0].matrix, sigma.matrix, atol=1e-12)
+    assert np.allclose(e.states[0], sigma.matrix, atol=1e-12)
 
 
 def test_duality_consistency_at_sic_optimum():
@@ -99,6 +100,72 @@ def test_povm_from_ensemble_output_is_valid_povm():
 
 
 # ---------------------------------------------------------------------------
+# the batched maps equal a per-outcome reference, bit for bit
+
+
+def _ensemble_from_povm_reference(l, sigma):
+    root = linalg.matrix_sqrt(sigma.matrix)
+    q = np.einsum("dc,jcd->j", sigma.matrix, l.elements).real
+    kept = [j for j in range(l.num_outcomes) if q[j] > 1e-14]
+    states = []
+    for j in kept:
+        m = root @ l.elements[j] @ root
+        states.append(linalg.hermitize(m / float(np.trace(m).real)))
+    dropped = [j for j in range(l.num_outcomes) if j not in kept]
+    return q[kept] / q[kept].sum(), np.stack(states), dropped
+
+
+def _povm_from_ensemble_reference(e):
+    kept = [i for i in range(len(e)) if e.priors[i] > 1e-14]
+    priors, states = e.priors[kept], e.states[kept]
+    sigma_s = np.einsum("i,idc->dc", priors, states)
+    w = linalg.pinv_sqrt(sigma_s)
+    kernel = np.eye(e.dim) - linalg.hermitize(w @ sigma_s @ w)
+    elements = [q * (w @ sig @ w) for q, sig in zip(priors, states)]
+    if np.trace(kernel).real > 0.5:
+        elements.append(kernel)
+    return linalg.hermitize(np.stack(elements))
+
+
+def _assert_ensemble_equals_reference(l, sigma):
+    e, dropped = ensemble_from_povm(l, sigma)
+    priors, states, ref_dropped = _ensemble_from_povm_reference(l, sigma)
+    assert dropped == ref_dropped
+    assert np.array_equal(e.priors, priors)
+    assert np.array_equal(e.states, states)
+    return e, dropped
+
+
+def test_ensemble_from_povm_equals_per_outcome_reference():
+    l = random_povm(16, 64, seed=11)
+    e, dropped = _assert_ensemble_equals_reference(l, maximally_mixed(16))
+    assert dropped == [] and len(e) == 64
+    assert np.array_equal(povm_from_ensemble(e).elements, _povm_from_ensemble_reference(e))
+
+
+def test_ensemble_from_povm_equals_reference_when_an_outcome_drops():
+    # rank-2 sigma in C^3; the last element lives on its kernel
+    elements = np.zeros((5, 3, 3), dtype=complex)
+    elements[:4, :2, :2] = random_povm(2, 4, seed=3).elements
+    elements[4, 2, 2] = 1.0
+    sigma = np.zeros((3, 3), dtype=complex)
+    sigma[:2, :2] = random_density(2, np.random.default_rng(5))
+    _, dropped = _assert_ensemble_equals_reference(Povm(elements), DensityOperator(sigma))
+    assert dropped == [4]
+
+
+def test_povm_from_ensemble_equals_reference_with_kernel_element():
+    rng = np.random.default_rng(9)
+    v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    v[:2, 2] = 0.0  # two members span a plane of C^3
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    e = Ensemble.from_pure(np.array([0.3, 0.7, 0.0]), v)
+    p = povm_from_ensemble(e)
+    assert p.num_outcomes == 3  # two members and the kernel element
+    assert np.array_equal(p.elements, _povm_from_ensemble_reference(e))
+
+
+# ---------------------------------------------------------------------------
 # degenerate cases
 
 
@@ -106,10 +173,10 @@ def test_povm_from_ensemble_drops_zero_prior_members():
     basis = np.eye(2, dtype=complex)
     e = Ensemble(
         np.array([0.5, 0.5, 0.0]),
-        tuple(
-            DensityOperator(np.outer(v, v.conj()))
+        np.stack([
+            np.outer(v, v.conj())
             for v in (basis[0], basis[1], (basis[0] + basis[1]) / np.sqrt(2))
-        ),
+        ]),
     )
     p = povm_from_ensemble(e)
     assert p.num_outcomes == 2

@@ -123,9 +123,46 @@ def test_validate_povm_accepts_raw_stack():
 
 def test_ensemble_validation():
     with pytest.raises(ValueError):
-        Ensemble(np.array([0.7, 0.4]), (maximally_mixed(2), maximally_mixed(2)))
+        Ensemble(np.array([0.7, 0.4]), np.stack([maximally_mixed(2).matrix] * 2))
     with pytest.raises(ValueError):
-        Ensemble(np.array([1.2, -0.2]), (maximally_mixed(2), maximally_mixed(2)))
+        Ensemble(np.array([1.2, -0.2]), np.stack([maximally_mixed(2).matrix] * 2))
+
+
+def test_ensemble_states_are_one_validated_stack():
+    e = anti_tetrahedral_ensemble()
+    assert isinstance(e.states, np.ndarray)
+    assert e.states.shape == (4, 2, 2) and e.states.dtype == complex
+    assert np.array_equal(e.states, np.conj(np.swapaxes(e.states, 1, 2)))
+
+
+def test_ensemble_names_its_first_failing_member():
+    good = np.eye(2) / 2
+    not_psd = np.diag([1.5, -0.5])
+    bad_trace = np.eye(2) * 0.6
+    with pytest.raises(NotPositiveSemidefinite, match="ensemble state 1 "):
+        Ensemble(np.full(4, 0.25), np.stack([good, not_psd, good, not_psd]))
+    with pytest.raises(ValueError, match="ensemble state 2 trace"):
+        Ensemble(np.full(4, 0.25), np.stack([good, good, bad_trace, bad_trace]))
+
+
+def test_ensemble_rejects_malformed_stacks():
+    with pytest.raises(ValueError):
+        Ensemble(np.ones(1), np.ones((1, 2, 3)) / 2)  # not square
+    with pytest.raises(ValueError):
+        Ensemble(np.ones(1), np.eye(2) / 2)  # one matrix, not a stack
+    with pytest.raises(ValueError):
+        Ensemble(np.ones(1), np.ones((1, 1, 2, 2)) / 2)  # 4-D
+    with pytest.raises(ValueError, match="2 priors but 3 states"):
+        Ensemble(np.full(2, 0.5), np.stack([np.eye(2) / 2] * 3))
+
+
+def test_ensemble_from_pure_checks_every_row_norm():
+    vecs = np.eye(3, dtype=complex)
+    vecs[2, 2] = 1.0 + 1e-9
+    with pytest.raises(ValueError, match="is not 1 within 1e-12"):
+        Ensemble.from_pure(np.full(3, 1 / 3), vecs)
+    vecs[2, 2] = 1.0 + 1e-13
+    assert len(Ensemble.from_pure(np.full(3, 1 / 3), vecs)) == 3
 
 
 def test_ensemble_from_pure_and_average():
@@ -162,7 +199,7 @@ def test_anti_tetrahedral_ensemble_is_orthogonal_to_matching_outcome():
     assert np.allclose(e.priors, 0.25)
     for i, s in enumerate(e.states):
         # <psi_i| Pi_i |psi_i> = 0: each state avoids its matching outcome
-        assert np.trace(s.matrix @ p.elements[i]).real == pytest.approx(0.0, abs=1e-12)
+        assert np.trace(s @ p.elements[i]).real == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(ensemble_average(e).matrix, np.eye(2) / 2, atol=1e-12)
 
 

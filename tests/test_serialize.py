@@ -65,7 +65,7 @@ def test_ensemble_document_round_trip():
     back = serialize.ensemble_from_document(doc)
     assert np.array_equal(back.priors, e.priors)
     for a, b in zip(back.states, e.states):
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a, b)
 
 
 def test_state_document_round_trip():
@@ -273,7 +273,7 @@ def test_dumps_matches_json_on_every_document_kind(tmp_path, monkeypatch, capsys
     docs = [
         serialize.povm_to_document(povm),
         serialize.ensemble_to_document(ensemble),
-        serialize.state_to_document(ensemble.states[5]),
+        serialize.state_to_document(DensityOperator(ensemble.states[5])),
         serialize.channel_to_document(channel),
         serialize.report_to_document(sic),
         serialize.capacity_to_document(blahut_arimoto(channel), "bits"),

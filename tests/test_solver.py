@@ -178,7 +178,7 @@ def test_generic_edge_corpus_certifies_within_dual_bound(elements):
     assert rep.converged
     assert 0.0 <= rep.w_estimate <= np.log2(min(p.dim, p.num_outcomes))
     ens = rep.best_ensemble
-    vectors = np.stack([top_eigenvector(s.matrix) for s in ens.states])
+    vectors = np.stack([top_eigenvector(s) for s in ens.states])
     upper = dual_bound_bits(ens.priors, vectors, p.elements)
     assert -1e-12 <= upper - rep.w_estimate <= 1e-8
 
@@ -282,7 +282,7 @@ def test_certifies_random_povms_within_dual_bound(dim, outcomes, povm_seed, seed
     rep = informational_power(p, SolverConfig(restarts=3, seed=seed))
     assert rep.converged
     ens = rep.best_ensemble
-    vectors = np.stack([top_eigenvector(s.matrix) for s in ens.states])
+    vectors = np.stack([top_eigenvector(s) for s in ens.states])
     upper = dual_bound_bits(ens.priors, vectors, p.elements)
     assert -1e-12 <= upper - rep.w_estimate <= 1e-8
 
@@ -459,7 +459,7 @@ def test_state_gradient_matches_finite_differences():
         states = random_pure_states(dim, 3, seed=seed + 40)
         priors = rng.random(3)
         priors /= priors.sum()
-        e = Ensemble(priors, tuple(s.to_density() for s in states))
+        e = Ensemble(priors, np.stack([s.projector() for s in states]))
         grads = state_gradient(e, p)
         for i in range(3):
             fd = fd_state_gradient(e, p, i)
@@ -473,7 +473,7 @@ def test_state_gradient_vanishes_at_optimum():
 
 
 def test_state_gradient_rejects_mixed_members():
-    e = Ensemble(np.array([1.0]), (maximally_mixed(2),))
+    e = Ensemble(np.array([1.0]), maximally_mixed(2).matrix[None])
     with pytest.raises(ValueError):
         state_gradient(e, tetrahedral_sic_povm())
 
