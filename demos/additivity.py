@@ -2,11 +2,12 @@
 
 W is additive: measuring two systems with Pi_1 (x) Pi_2 conveys exactly
 W(Pi_1) + W(Pi_2) — entangled input ensembles cannot beat product ones.
-The check below exercises both solver paths: projective (x) projective
-stays commuting (exact fast path), while SIC (x) SIC runs the generic
-solver in dimension 4 with 16 outcomes.
+The check below exercises two solver paths: projective (x) projective
+stays commuting (exact fast path), while SIC (x) SIC, in dimension 4 with
+16 outcomes, is certified by the symmetric certificate, one probe at the
+maximally mixed output.
 
-Run:  python3 demos/additivity.py   (the SIC pair takes several seconds)
+Run:  python3 demos/additivity.py
 """
 
 from infopower import SolverConfig, additivity_check, tetrahedral_sic_povm
@@ -18,7 +19,7 @@ print(f"  W1 = {rep.w1:.12f}   W2 = {rep.w2:.12f}")
 print(f"  W(Pi1 (x) Pi2) = {rep.w12:.12f}   gap = {rep.gap:.3e} bits")
 
 print()
-print("SIC (x) SIC: non-commuting, generic solver in D = 4")
+print("SIC (x) SIC: non-commuting, symmetric certificate in D = 4")
 rep = additivity_check(
     tetrahedral_sic_povm(),
     tetrahedral_sic_povm(),

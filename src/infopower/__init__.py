@@ -25,11 +25,13 @@ from .objects import (
     ValidationReport,
     anti_tetrahedral_ensemble,
     ensemble_average,
+    hesse_sic_povm,
     maximally_mixed,
     projective_povm,
     random_povm,
     random_pure_states,
     tensor_povm,
+    tensor_power,
     tetrahedral_sic_povm,
     trine_povm,
     validate_povm,
@@ -95,6 +97,7 @@ __all__ = [
     "duality_round_trip_check",
     "ensemble_average",
     "ensemble_from_povm",
+    "hesse_sic_povm",
     "informational_power",
     "joint_statistics",
     "maximally_mixed",
@@ -107,6 +110,7 @@ __all__ = [
     "shannon_entropy",
     "state_gradient",
     "tensor_povm",
+    "tensor_power",
     "tetrahedral_sic_povm",
     "trine_povm",
     "validate_povm",

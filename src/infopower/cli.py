@@ -24,6 +24,7 @@ from .objects import (
     DensityOperator,
     Povm,
     ensemble_average,
+    hesse_sic_povm,
     maximally_mixed,
     standard_projective_povm,
     tetrahedral_sic_povm,
@@ -33,12 +34,14 @@ from .objects import (
 from .duality import _round_trip_report, ensemble_from_povm, povm_from_ensemble
 from .solver import SolverConfig, informational_power
 
-EXAMPLES = ("sic", "projective2", "projective3", "trine", "trivial")
+EXAMPLES = ("sic", "hesse", "projective2", "projective3", "trine", "trivial")
 
 
 def example_povm(name: str) -> Povm:
     if name == "sic":
         return tetrahedral_sic_povm()
+    if name == "hesse":
+        return hesse_sic_povm()
     if name == "projective2":
         return standard_projective_povm(2)
     if name == "projective3":

@@ -310,6 +310,29 @@ def tensor_povm(a: Povm, b: Povm) -> Povm:
     return Povm(np.stack(elements))
 
 
+def tensor_power(p: Povm, k: int) -> Povm:
+    """The k-fold product POVM p (x) ... (x) p, as ``tensor_povm`` orders it."""
+    if k < 1:
+        raise ValueError(f"tensor_power needs k >= 1, got {k}")
+    out = p
+    for _ in range(k - 1):
+        out = tensor_povm(out, p)
+    return out
+
+
+def hesse_sic_povm() -> Povm:
+    """The Hesse SIC POVM in C^3: elements |v><v|/3 over the Weyl-Heisenberg
+    orbit X^a Z^b (0, 1, -1)/sqrt(2), with |<v_i|v_j>|^2 = 1/4 for i != j.
+    Its informational power is log2(3/2) bits (Szymusiak, J. Phys. A 47,
+    445301, 2014)."""
+    shift = np.roll(np.eye(3, dtype=complex), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    fiducial = np.array([0.0, 1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+    vectors = [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b) @ fiducial
+               for a in range(3) for b in range(3)]
+    return Povm(np.stack([np.outer(v, v.conj()) / 3.0 for v in vectors]))
+
+
 def random_povm(dim: int, outcomes: int, seed: int, real: bool = False) -> Povm:
     """Random POVM via the square-root construction.
 

@@ -23,6 +23,13 @@ which others run beside it.
 
 POVMs with commuting elements skip all of this: the optimum is achieved on
 the common eigenbasis, so a single Blahut-Arimoto run is exact.
+
+Before the restarts, ``informational_power`` tries one probe at the output
+q0_j = Tr(Pi_j)/D of the maximally mixed average. Its maxima, folded and
+weighted by Blahut-Arimoto, certify W when their rate comes within the
+margin of the probed maximum, which bounds W from above by the dual form.
+That happens when symmetry makes q0 the optimal output (SICs, the trine,
+their tensor powers); on other POVMs the probe fails and the restarts run.
 """
 
 from __future__ import annotations
@@ -168,11 +175,17 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for a 2-D ``a``, where no row's result depends on how many
-    rows share the call: numpy hands a one-row product to gemv, which sums
-    in another order than gemm, so a single row goes through doubled."""
-    if len(a) == 1:
-        return (np.concatenate([a, a]) @ b)[:1]
-    return a @ b
+    rows share the call. numpy hands a one-row product to gemv, which sums
+    in another order than gemm, so a single row goes through doubled. The
+    BLAS also picks its gemm kernel by the size of the product, and the
+    kernels sum alike only when ``b`` is in C order with whole groups of 8
+    columns, so ``b`` goes in as such a copy, padded with zero columns."""
+    rows, cols = len(a), b.shape[1]
+    padded = np.zeros((b.shape[0], -(-cols // 8) * 8))
+    padded[:, :cols] = b
+    if rows == 1:
+        a = np.concatenate([a, a])
+    return (a @ padded)[:rows, :cols]
 
 
 def _channel_probs(vectors: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -385,10 +398,16 @@ def _max_relative_entropy_states(
     (outcomes with p_j = 0 are left out of H). Search k draws ``n_init``
     random starts from ``rngs[k]``, and the rows of ``extra_inits[k]``
     (e.g. the current ensemble) climb alongside them. The starts of all
-    searches step together; a search stops when none of its starts gains
-    1e-12 nats in a step, or after PROBE_MAX_STEPS steps. Returns, per
-    search, the final vectors with their outcome probabilities and
-    relative entropies (nats).
+    searches step together, for at most PROBE_MAX_STEPS steps, and each
+    start leaves on its own:
+    - when its jump gains less than 1e-12 nats (a positive gain is kept);
+    - when, after a step, its state overlaps a live start of its own
+      search with a higher value (on a tie, a lower index) by more than
+      1 - MERGE_OVERLAP_TOL, the fold test of ``_compact``: the two climb
+      the same hill, so only the better one goes on.
+    Both rules look only at the start's own search, so no search depends
+    on the others beside it. Returns, per search, every start's final
+    vector with its outcome probabilities and relative entropy (nats).
     """
     dim = elements.shape[1]
     starts = []
@@ -402,25 +421,38 @@ def _max_relative_entropy_states(
     probs = _channel_probs(vectors, elements)
     lr = _log_ratio(probs[:, None, :], q_rows)[:, 0]
     vals = np.sum(probs * lr, axis=1)
-    # A start whose jump does not raise D keeps its state, so its next jump
-    # would be the same: it leaves the search, which changes no result.
     live = np.arange(len(vectors))
     for _ in range(PROBE_MAX_STEPS):
         trial = np.linalg.eigh(_weighted_elements(lr[live], elements))[1][:, :, -1]
         trial_probs = _channel_probs(trial, elements)
         trial_lr = _log_ratio(trial_probs[:, None, :], q_rows[live])[:, 0]
         trial_vals = np.sum(trial_probs * trial_lr, axis=1)
-        up = np.flatnonzero(trial_vals > vals[live])
-        gain = np.zeros(len(starts))
-        np.maximum.at(gain, owner[live], trial_vals - vals[live])
-        live = live[up]
-        vectors[live], probs[live], lr[live] = trial[up], trial_probs[up], trial_lr[up]
-        vals[live] = trial_vals[up]
-        live = live[gain[owner[live]] >= 1e-12]
+        gain = trial_vals - vals[live]
+        up = gain > 0.0
+        moved = live[up]
+        vectors[moved], probs[moved], lr[moved] = trial[up], trial_probs[up], trial_lr[up]
+        vals[moved] = trial_vals[up]
+        live = _unmerged(live[gain >= 1e-12], owner, vectors, vals)
         if not live.size:
             break
     bounds = np.cumsum(sizes)
     return [(vectors[a - s:a], probs[a - s:a], vals[a - s:a]) for a, s in zip(bounds, sizes)]
+
+
+def _unmerged(live: np.ndarray, owner: np.ndarray, vectors: np.ndarray,
+              vals: np.ndarray) -> np.ndarray:
+    """The sorted start indices ``live`` without each start that overlaps a
+    better start of its own search (``owner``) by more than
+    1 - MERGE_OVERLAP_TOL; of equal values the lower index is better."""
+    keep = []
+    for rows in np.split(live, np.flatnonzero(np.diff(owner[live])) + 1):
+        v, val = vectors[rows], vals[rows]
+        close = np.abs(v.conj() @ v.T) ** 2 > 1.0 - MERGE_OVERLAP_TOL
+        lower = np.arange(len(rows))
+        better = (val[None, :] > val[:, None]) | (
+            (val[None, :] == val[:, None]) & (lower[None, :] < lower[:, None]))
+        keep.append(rows[~np.any(close & better, axis=1)])
+    return np.concatenate(keep)
 
 
 @dataclass(frozen=True)
@@ -598,23 +630,61 @@ def commuting_fast_path(p: Povm, tol: float = 1e-12, base: LogBase = LogBase.BIT
                          iterations_used=res.iterations, fast_path_used=True)
 
 
+def _symmetric_power(p: Povm, cfg: SolverConfig) -> PowerReport | None:
+    """W certified with one probe at the maximally mixed output, or None.
+
+    The dual form gives W <= M0 = max_psi D(P(.|psi) || q0) for any q0,
+    here q0_j = Tr(Pi_j)/D, the output of the ensemble with average I/D.
+    The probe's maxima within the certificate margin of the best value
+    M0, folded with ``_compact``, are the input alphabet of one capped
+    Blahut-Arimoto run; its rate is the mutual information of an ensemble,
+    so at most W. When M0 - rate is within the margin, W is certified to
+    that margin, with the same heuristic probe as the generic path. The
+    test passes when the capacity-achieving output is q0, as it is for a
+    POVM covariant under a group acting irreducibly on C^D (SICs, the
+    trine, their tensor powers); the group is never needed. Otherwise this
+    returns None and costs one failed probe. The report counts one
+    iteration and one value.
+    """
+    elements, dim = p.elements, p.dim
+    margin = max(10.0 * cfg.tol, 1e-9)
+    q0 = np.trace(elements, axis1=1, axis2=2).real / dim
+    # The root of the seed's sequence: restart k draws from its child (k,).
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
+    element_seeds = np.linalg.eigh(elements)[1][:, :, -1]
+    vectors, _, vals = _max_relative_entropy_states(
+        q0[None], elements, [rng], max(64, 8 * dim * dim), [element_seeds])[0]
+    best = float(vals.max())
+    near = vals >= best - margin
+    vectors, _ = _compact(vectors[near], np.full(np.count_nonzero(near), 1.0))
+    m = len(vectors)
+    r, rate = _refit(_channel_probs(vectors, elements), np.full(m, 1.0 / m), 0.1 * margin)
+    if best - rate > margin:
+        return None
+    return _power_report(p, vectors[r > 0], r[r > 0], cfg.base, converged=True,
+                         iterations_used=1, fast_path_used=False)
+
+
 def informational_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> PowerReport:
-    """W(Pi): dispatches to the commuting fast path when applicable.
+    """W(Pi): the commuting fast path, else the symmetric certificate, else
+    the generic solver.
 
     Commuting elements admit an exact solution on their common
     eigenbasis. The fast path decides "commuting" itself: the eigenbasis
     of a fixed random combination of the elements must leave no
-    off-diagonal entry above 1e-10 in any of them. On NotCommuting the
-    multistart generic solver runs; a commuting POVM whose combination
-    happens to be nearly degenerate also lands there and is solved more
-    slowly, under the generic solver's certificate. ``jobs`` is accepted
-    for compatibility and has no effect, as in ``see_saw_power``.
+    off-diagonal entry above 1e-10 in any of them. On NotCommuting one
+    probe at the maximally mixed output tries to certify W directly
+    (``_symmetric_power``); when that fails, the multistart generic solver
+    runs. A commuting POVM whose combination happens to be nearly
+    degenerate also lands past the fast path and is solved more slowly,
+    under one of the other two certificates. ``jobs`` is accepted for
+    compatibility and has no effect, as in ``see_saw_power``.
     """
     cfg = cfg or SolverConfig()
     try:
         return commuting_fast_path(p, tol=min(INNER_BA_TOL, cfg.tol), base=cfg.base)
     except NotCommuting:
-        return see_saw_power(p, cfg, jobs=jobs)
+        return _symmetric_power(p, cfg) or see_saw_power(p, cfg, jobs=jobs)
 
 
 def state_gradient(e: Ensemble, p: Povm) -> list[np.ndarray]:

@@ -158,6 +158,18 @@ def top_eigenvector(m: np.ndarray) -> np.ndarray:
     return v[:, -1]
 
 
+def _divergence_and_field(
+    v: np.ndarray, q: np.ndarray, elements: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """D(P(.|psi) || q) in nats for each unit row psi of ``v``, with the
+    field sum_j ln(p_j / q_j) Pi_j whose top eigenvector is the next jump;
+    outcomes with q_j = 0 or p_j = 0 are left out."""
+    live = q > 0
+    p = np.clip(np.einsum("sd,jdc,sc->sj", v.conj(), elements, v).real, 0.0, 1.0)[:, live]
+    lr = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)) - np.log(q[live]), 0.0)
+    return (p * lr).sum(axis=1), np.einsum("sj,jdc->sdc", lr, elements[live])
+
+
 def dual_bound_bits(
     priors: np.ndarray,
     vectors: np.ndarray,
@@ -179,28 +191,38 @@ def dual_bound_bits(
     vectors = np.asarray(vectors, dtype=complex)
     cond = np.clip(np.einsum("id,jdc,ic->ij", vectors.conj(), elements, vectors).real, 0.0, 1.0)
     q = np.asarray(priors, dtype=float) @ cond
-    live = q > 0
-    logq = np.log(q[live])
     rng = np.random.default_rng(seed)
     dim = elements.shape[1]
     z = rng.standard_normal((n_random, dim)) + 1j * rng.standard_normal((n_random, dim))
     v = np.concatenate([vectors, z])
     v = v / np.linalg.norm(v, axis=1)[:, None]
-
-    def divergence_and_field(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = np.clip(np.einsum("sd,jdc,sc->sj", v.conj(), elements, v).real, 0.0, 1.0)[:, live]
-        lr = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)) - logq, 0.0)
-        return (p * lr).sum(axis=1), np.einsum("sj,jdc->sdc", lr, elements[live])
-
-    best, field = divergence_and_field(v)
+    best, field = _divergence_and_field(v, q, elements)
     for _ in range(max_steps):
         v = np.linalg.eigh(field)[1][:, :, -1]
-        value, field = divergence_and_field(v)
+        value, field = _divergence_and_field(v, q, elements)
         gain = float(np.max(value - best))
         best = np.maximum(best, value)
         if gain < 1e-16:
             break
     return float(best.max()) / LN2
+
+
+def reference_probe_values(
+    q: np.ndarray, elements: np.ndarray, vectors: np.ndarray, steps: int
+) -> np.ndarray:
+    """max D(P(.|psi) || q) in nats reached from each start, by the plain
+    climb: every start jumps to the top eigenvector of
+    sum_j ln(p_j / q_j) Pi_j for ``steps`` steps with no early exit, and
+    keeps a jump only when it raises D. The reference for the solver's
+    probe, which lets starts leave early."""
+    v = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+    best, field = _divergence_and_field(v, q, elements)
+    for _ in range(steps):
+        trial = np.linalg.eigh(field)[1][:, :, -1]
+        value, trial_field = _divergence_and_field(trial, q, elements)
+        up = value > best
+        v[up], best[up], field[up] = trial[up], value[up], trial_field[up]
+    return best
 
 
 def fd_state_gradient(ensemble, povm, i: int, h: float = 1e-6) -> np.ndarray:
@@ -232,6 +254,7 @@ def fd_state_gradient(ensemble, povm, i: int, h: float = 1e-6) -> np.ndarray:
 
 SIC_W_BITS = float(np.log2(4.0 / 3.0))  # 0.41503749927884381
 TRINE_W_BITS = float(np.log2(3.0 / 2.0))  # 0.5849625007211562
+HESSE_W_BITS = TRINE_W_BITS  # Hesse SIC in C^3: Szymusiak, J. Phys. A 47, 445301 (2014)
 
 
 def trine_bruteforce_oracle_bits(

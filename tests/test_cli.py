@@ -10,7 +10,7 @@ from infopower import serialize
 from infopower.cli import main
 from infopower.objects import random_povm, tetrahedral_sic_povm, trine_povm
 
-from helpers import SIC_W_BITS, h2
+from helpers import HESSE_W_BITS, SIC_W_BITS, h2
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -124,6 +124,17 @@ def test_solve_seed_env_fallback(tmp_path):
     bad_env = dict(os.environ, INFOPOWER_SEED="not-a-number")
     res = subprocess.run(cmd, capture_output=True, text=True, env=bad_env)
     assert res.returncode == 2
+
+
+def test_solve_hesse_example_prints_its_closed_form_and_repeats(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    code1, out1, _ = run_cli(capsys, "solve", "--example", "hesse", "--out", str(a))
+    code2, out2, _ = run_cli(capsys, "solve", "--example", "hesse", "--out", str(b))
+    assert code1 == code2 == 0
+    assert float(out1.strip()) == pytest.approx(HESSE_W_BITS, abs=1e-9)
+    assert out1 == out2
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_solve_jobs_identical_report(tmp_path, capsys):

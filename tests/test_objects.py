@@ -10,12 +10,14 @@ from infopower.objects import (
     PureState,
     anti_tetrahedral_ensemble,
     ensemble_average,
+    hesse_sic_povm,
     maximally_mixed,
     projective_povm,
     random_povm,
     random_pure_states,
     standard_projective_povm,
     tensor_povm,
+    tensor_power,
     tetrahedral_sic_povm,
     trine_povm,
     validate_povm,
@@ -234,6 +236,26 @@ def test_tensor_povm_order_and_completeness():
     for i in range(2):
         for j in range(3):
             assert np.allclose(t.elements[i * 3 + j], np.kron(a.elements[i], b.elements[j]))
+
+
+def test_hesse_sic_is_a_sic_in_dimension_three():
+    p = hesse_sic_povm()
+    assert p.dim == 3 and len(p) == 9
+    assert np.allclose(sum(p.elements), np.eye(3), atol=1e-12)
+    vectors = np.stack([np.linalg.eigh(m)[1][:, -1] for m in p.elements])
+    assert np.allclose(np.linalg.eigvalsh(p.elements)[:, -1], 1.0 / 3.0, atol=1e-12)
+    # |<psi_i|psi_j>|^2 = 1/(D + 1) = 1/4 for every pair i != j
+    overlaps = np.abs(vectors.conj() @ vectors.T) ** 2
+    assert np.allclose(overlaps, np.where(np.eye(9, dtype=bool), 1.0, 0.25), atol=1e-12)
+
+
+def test_tensor_power_repeats_tensor_povm():
+    s = tetrahedral_sic_povm()
+    assert np.array_equal(tensor_power(s, 1).elements, s.elements)
+    assert np.array_equal(tensor_power(s, 3).elements,
+                          tensor_povm(tensor_povm(s, s), s).elements)
+    with pytest.raises(ValueError):
+        tensor_power(s, 0)
 
 
 def test_sic_tensor_sic_commutators_nonzero():

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +11,13 @@ from infopower.objects import (
     Ensemble,
     Povm,
     anti_tetrahedral_ensemble,
+    hesse_sic_povm,
     maximally_mixed,
     random_povm,
     random_pure_states,
     standard_projective_povm,
     tensor_povm,
+    tensor_power,
     tetrahedral_sic_povm,
     trine_povm,
 )
@@ -30,6 +34,7 @@ from infopower.solver import (
 
 from helpers import (
     HARD_BLOCK_CHANNELS,
+    HESSE_W_BITS,
     SIC_W_BITS,
     TRINE_W_BITS,
     block_channel,
@@ -39,6 +44,7 @@ from helpers import (
     random_commuting_elements,
     random_rank_one_elements,
     random_unitary,
+    reference_probe_values,
     top_eigenvector,
 )
 
@@ -317,17 +323,29 @@ def test_polish_reports_the_rate_of_its_result():
 
 def test_kernels_give_a_row_the_same_bits_alone_as_in_a_block():
     """The probe and the polish stack many rows into one product; a row's
-    probabilities and its H must not depend on how many rows share it."""
-    p = random_povm(4, 8, seed=2)
-    vectors = np.stack([s.amplitudes for s in random_pure_states(4, 40, seed=3)])
-    probs = solver._channel_probs(vectors, p.elements)
-    lr = np.log(probs + 0.1)
-    h = solver._weighted_elements(lr, p.elements)
-    for i in range(0, 40, 7):
-        for k in (1, 2, 3):
-            rows = slice(i, i + k)
-            assert np.array_equal(solver._channel_probs(vectors[rows], p.elements), probs[rows])
-            assert np.array_equal(solver._weighted_elements(lr[rows], p.elements), h[rows])
+    probabilities and its H must not depend on how many rows share it,
+    also past the row counts (151 on rand4x8) at which the BLAS changes
+    its kernel."""
+    for povm in (random_povm(4, 8, seed=2), random_povm(5, 10, seed=3)):
+        vectors = np.stack([s.amplitudes for s in random_pure_states(povm.dim, 400, seed=3)])
+        probs = solver._channel_probs(vectors, povm.elements)
+        lr = np.log(probs + 0.1)
+        h = solver._weighted_elements(lr, povm.elements)
+        for i in range(0, 40, 7):
+            for k in (1, 2, 3, 150, 151, 233, 320, 360):
+                rows = slice(i, i + k)
+                assert np.array_equal(solver._channel_probs(vectors[rows], povm.elements),
+                                      probs[rows])
+                assert np.array_equal(solver._weighted_elements(lr[rows], povm.elements), h[rows])
+
+
+def _assert_same_run(alone, together) -> None:
+    assert alone.value_nats == together.value_nats
+    assert np.array_equal(alone.vectors, together.vectors)
+    assert np.array_equal(alone.priors, together.priors)
+    assert alone.history == together.history
+    assert alone.iterations == together.iterations
+    assert alone.converged == together.converged
 
 
 @pytest.mark.parametrize(
@@ -341,14 +359,16 @@ def test_restart_does_not_depend_on_its_batch(povm):
     m = povm.dim ** 2
     batch = solver._run_restarts(povm.elements, m, 0, range(6), 1e-9)
     for k in range(6):
-        alone = solver._run_restarts(povm.elements, m, 0, [k], 1e-9)[0]
-        together = batch[k]
-        assert alone.value_nats == together.value_nats
-        assert np.array_equal(alone.vectors, together.vectors)
-        assert np.array_equal(alone.priors, together.priors)
-        assert alone.history == together.history
-        assert alone.iterations == together.iterations
-        assert alone.converged == together.converged
+        _assert_same_run(solver._run_restarts(povm.elements, m, 0, [k], 1e-9)[0], batch[k])
+
+
+def test_restart_does_not_depend_on_the_default_batch():
+    """At the default 20 restarts the first polish of rand4x8 stacks 320
+    rows, past the row count at which the BLAS changes its kernel."""
+    p = random_povm(4, 8, seed=2)
+    batch = solver._run_restarts(p.elements, 16, 0, range(20), 1e-9)
+    for k in (0, 3, 9):
+        _assert_same_run(solver._run_restarts(p.elements, 16, 0, [k], 1e-9)[0], batch[k])
 
 
 def test_lbfgs_rows_stop_on_their_own():
@@ -445,6 +465,104 @@ def test_generic_power_bounds_and_invariances(shape, seed):
         assert power(els) == pytest.approx(w, abs=1e-7), name
     merged = np.concatenate([elements[:1] + elements[1:2], elements[2:]])
     assert power(merged) <= w + 1e-7
+
+
+# ---------------------------------------------------------------------------
+# symmetric certificate and the probe behind it
+
+COVARIANT = {"sic": tetrahedral_sic_povm, "trine": trine_povm, "hesse": hesse_sic_povm}
+
+
+def _is_symmetric_report(rep: PowerReport) -> bool:
+    return (rep.converged and rep.iterations_used == 1 and not rep.fast_path_used
+            and rep.per_restart_values == (rep.w_estimate,))
+
+
+def test_hesse_sic_power_on_both_paths():
+    p = hesse_sic_povm()
+    sym = informational_power(p)
+    assert _is_symmetric_report(sym)
+    assert sym.w_estimate == pytest.approx(HESSE_W_BITS, abs=1e-9)
+    generic = see_saw_power(p, SolverConfig(restarts=4))
+    assert generic.converged
+    assert generic.w_estimate == pytest.approx(HESSE_W_BITS, abs=1e-9)
+
+
+def test_symmetric_path_certifies_the_sic_cubed():
+    rep = informational_power(tensor_power(tetrahedral_sic_povm(), 3))
+    assert _is_symmetric_report(rep)
+    assert rep.w_estimate == pytest.approx(3 * SIC_W_BITS, abs=1e-9)
+
+
+@settings(max_examples=6)
+@given(name=st.sampled_from(sorted(COVARIANT)), seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_symmetric_path_agrees_with_the_generic_solver_on_rotated_covariant_povms(name, seed):
+    base = COVARIANT[name]()
+    u = random_unitary(base.dim, np.random.default_rng(seed))
+    p = Povm(u @ base.elements @ u.conj().T)
+    cfg = SolverConfig(restarts=4, seed=seed)
+    sym = solver._symmetric_power(p, cfg)
+    assert sym is not None and _is_symmetric_report(sym)
+    assert sym.w_estimate == pytest.approx(see_saw_power(p, cfg).w_estimate, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim, outcomes, povm_seed", [(3, 5, 1), (4, 8, 2), (4, 5, 4052)])
+def test_symmetric_path_falls_through_on_random_povms(dim, outcomes, povm_seed):
+    p = random_povm(dim, outcomes, seed=povm_seed)
+    cfg = SolverConfig(restarts=3, seed=0)
+    assert solver._symmetric_power(p, cfg) is None
+    rep, generic = informational_power(p, cfg), see_saw_power(p, cfg)
+    assert rep.w_estimate == generic.w_estimate
+    assert rep.per_restart_values == generic.per_restart_values
+    assert rep.iterations_used == generic.iterations_used
+
+
+def test_sic_probe_maxima_at_the_uniform_output_are_the_anti_aligned_states():
+    p = tetrahedral_sic_povm()
+    directions = np.linalg.eigh(p.elements)[1][:, :, -1]
+    vectors, _, vals = solver._max_relative_entropy_states(
+        np.full((1, 4), 0.25), p.elements, [np.random.default_rng(0)], 64, [directions])[0]
+    assert vals.max() == pytest.approx(np.log(4.0 / 3.0), abs=1e-12)
+    near = vals >= vals.max() - 1e-8
+    folded, _ = solver._compact(vectors[near], np.full(near.sum(), 1.0 / near.sum()))
+    assert len(folded) == 4
+    # state k is orthogonal to SIC direction k, under some matching
+    overlaps = np.abs(directions.conj() @ folded.T)
+    assert sorted(np.argmin(overlaps, axis=0)) == [0, 1, 2, 3]
+    assert np.all(overlaps.min(axis=0) <= 1e-6)
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "povm", [random_povm(4, 8, seed=2), random_povm(6, 12, seed=4)], ids=["rand4x8", "rand6x12"]
+)
+def test_probe_reaches_the_plain_climb(povm, monkeypatch):
+    """On the first probe of a seeded solve, the best value of each search
+    must come within 1e-10 nats of every start climbing PROBE_MAX_STEPS
+    steps with no early exit."""
+    seen = {}
+
+    def capture(q, elements, rngs, n_init, extra_inits):
+        seen.update(q=q.copy(), rngs=[copy.deepcopy(r) for r in rngs], n_init=n_init,
+                    extra=[e.copy() for e in extra_inits])
+        raise _Captured
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_max_relative_entropy_states", capture)
+        with pytest.raises(_Captured):
+            solver._run_restarts(povm.elements, povm.dim ** 2, 0, range(3), 1e-9)
+    found = solver._max_relative_entropy_states(
+        seen["q"], povm.elements, [copy.deepcopy(r) for r in seen["rngs"]], seen["n_init"],
+        seen["extra"])
+    dim, n_init = povm.dim, seen["n_init"]
+    for k, (rng, extra) in enumerate(zip(seen["rngs"], seen["extra"])):
+        z = rng.standard_normal((n_init, dim)) + 1j * rng.standard_normal((n_init, dim))
+        reference = reference_probe_values(seen["q"][k], povm.elements, np.concatenate([z, extra]),
+                                           solver.PROBE_MAX_STEPS)
+        assert found[k][2].max() >= reference.max() - 1e-10
 
 
 # ---------------------------------------------------------------------------
