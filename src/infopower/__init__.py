@@ -21,7 +21,6 @@ from .objects import (
     DensityOperator,
     Ensemble,
     Povm,
-    PureState,
     ValidationReport,
     anti_tetrahedral_ensemble,
     ensemble_average,
@@ -83,7 +82,6 @@ __all__ = [
     "NotPositiveSemidefinite",
     "Povm",
     "PowerReport",
-    "PureState",
     "RoundTripReport",
     "SchemaError",
     "SolverConfig",

@@ -31,7 +31,7 @@ from .objects import (
     trine_povm,
     validate_povm,
 )
-from .duality import _round_trip_report, ensemble_from_povm, povm_from_ensemble
+from .duality import ZERO_PRIOR_TOL, _round_trip_report, ensemble_from_povm, povm_from_ensemble
 from .solver import SolverConfig, informational_power
 
 EXAMPLES = ("sic", "hesse", "projective2", "projective3", "trine", "trivial")
@@ -102,7 +102,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     povm = _load_povm_input(args)
     cfg = SolverConfig(
-        num_states=args.states,
         restarts=args.restarts,
         tol=args.tol,
         seed=_resolve_seed(args.seed),
@@ -147,7 +146,7 @@ def cmd_duality(args: argparse.Namespace) -> int:
 
 
 def _ensemble_distance(a, b) -> float:
-    kept = a.priors > 1e-14
+    kept = a.priors > ZERO_PRIOR_TOL
     if np.count_nonzero(kept) != len(b):
         return float("inf")
     # per-matrix norms: with axis=(1, 2) numpy sums in another order, changing last bits
@@ -186,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the informational power of a POVM")
     add_input(p)
-    p.add_argument("--states", type=int, default=None, help="starting ensemble size M (default D^2)")
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-9, help="certificate margin is max(10*tol, 1e-9) nats")
     p.add_argument("--seed", type=int, default=None, help="fallback: INFOPOWER_SEED, then 0")

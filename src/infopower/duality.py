@@ -19,9 +19,10 @@ from .errors import DimensionMismatch
 from .objects import DensityOperator, Ensemble, Povm
 
 ZERO_PRIOR_TOL = 1e-14
+ROUND_TRIP_TOL = 1e-8
 
 
-def povm_from_ensemble(s: Ensemble, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> Povm:
+def povm_from_ensemble(s: Ensemble) -> Povm:
     """The POVM Pi(S) induced by an ensemble.
 
     Zero-prior members are dropped before mapping (they would produce zero
@@ -36,7 +37,7 @@ def povm_from_ensemble(s: Ensemble, rank_tol: float = linalg.DEFAULT_RANK_TOL) -
     states = s.states[keep]
 
     sigma_s = np.einsum("i,idc->dc", priors, states)
-    w = linalg.pinv_sqrt(sigma_s, rank_tol)
+    w = linalg.pinv_sqrt(sigma_s)
     proj = linalg.hermitize(w @ sigma_s @ w)
 
     # every member must live on the support of sigma_S
@@ -52,13 +53,11 @@ def povm_from_ensemble(s: Ensemble, rank_tol: float = linalg.DEFAULT_RANK_TOL) -
     return Povm(elements)
 
 
-def ensemble_from_povm(
-    l: Povm, sigma: DensityOperator, zero_tol: float = ZERO_PRIOR_TOL
-) -> tuple[Ensemble, list[int]]:
+def ensemble_from_povm(l: Povm, sigma: DensityOperator) -> tuple[Ensemble, list[int]]:
     """The ensemble R(Lambda, sigma) induced by a POVM and a reference state.
 
     Returns the ensemble together with the indices of outcomes dropped for
-    having probability Tr[sigma Lambda_j] <= zero_tol. Remaining priors are
+    having probability Tr[sigma Lambda_j] <= ZERO_PRIOR_TOL. Remaining priors are
     renormalized (the dropped mass is below numerical resolution), and
     ensemble_average of the result equals sigma within 1e-9.
     """
@@ -66,7 +65,7 @@ def ensemble_from_povm(
         raise DimensionMismatch(f"POVM dim {l.dim} vs state dim {sigma.dim}")
     root = linalg.matrix_sqrt(sigma.matrix)
     q = np.einsum("dc,jcd->j", sigma.matrix, l.elements).real
-    keep = q > zero_tol
+    keep = q > ZERO_PRIOR_TOL
     if not keep.any():
         raise ValueError("ensemble_from_povm: every outcome has zero probability on sigma")
     states = root @ l.elements[keep] @ root
@@ -92,24 +91,18 @@ class RoundTripReport:
     tol: float
     passed: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "element_residuals", tuple(self.element_residuals))
-        object.__setattr__(self, "dropped_outcomes", tuple(self.dropped_outcomes))
 
-
-def duality_round_trip_check(
-    l: Povm, sigma: DensityOperator, tol: float = 1e-8
-) -> RoundTripReport:
+def duality_round_trip_check(l: Povm, sigma: DensityOperator) -> RoundTripReport:
     """Check that mapping a POVM to its ensemble and back recovers it.
 
     Exact recovery requires full-rank sigma; the report carries the
-    residuals either way.
+    residuals either way, and passes when none exceeds ROUND_TRIP_TOL.
     """
     ens, dropped = ensemble_from_povm(l, sigma)
-    return _round_trip_report(l, ens, dropped, tol)
+    return _round_trip_report(l, ens, dropped)
 
 
-def _round_trip_report(l: Povm, ens: Ensemble, dropped: list[int], tol: float = 1e-8) -> RoundTripReport:
+def _round_trip_report(l: Povm, ens: Ensemble, dropped: list[int]) -> RoundTripReport:
     """The round-trip report on ``(ens, dropped)``, the result of
     ``ensemble_from_povm`` on ``l``, mapped already by the caller."""
     back = povm_from_ensemble(ens).elements
@@ -125,6 +118,6 @@ def _round_trip_report(l: Povm, ens: Ensemble, dropped: list[int], tol: float = 
         element_residuals=tuple(residuals),
         dropped_outcomes=tuple(dropped),
         extra_element_norm=extra,
-        tol=tol,
-        passed=worst <= tol,
+        tol=ROUND_TRIP_TOL,
+        passed=worst <= ROUND_TRIP_TOL,
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     EigendecompositionError,
     NotCommuting,
     NotPositiveSemidefinite,
@@ -73,10 +72,10 @@ def matrix_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def pinv_sqrt(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pinv_sqrt(m: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root of a PSD Hermitian matrix.
 
-    Eigenvalues above ``rank_tol * max(eigenvalue)`` map to ``1/sqrt``,
+    Eigenvalues above ``DEFAULT_RANK_TOL * max(eigenvalue)`` map to ``1/sqrt``,
     the rest to 0, so the result acts only on the support of ``m``.
 
     Raises
@@ -91,7 +90,7 @@ def pinv_sqrt(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         raise NotPositiveSemidefinite(
             f"pinv_sqrt: eigenvalue {w[0]:.3e} below tolerance {-PSD_TOL:.0e}"
         )
-    cutoff = rank_tol * max(w[-1], 0.0)
+    cutoff = DEFAULT_RANK_TOL * max(w[-1], 0.0)
     keep = w > cutoff
     if not keep.any():
         raise ZeroOperator("pinv_sqrt of the zero matrix is undefined")
@@ -99,28 +98,9 @@ def pinv_sqrt(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return (v * inv) @ v.conj().T
 
 
-def support_projector(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthogonal projector onto the support (range) of a PSD matrix."""
-    w, v = eigh(m)
-    keep = w > rank_tol * max(w[-1], 0.0)
-    if not keep.any():
-        return np.zeros_like(np.asarray(m, dtype=complex))
-    vk = v[:, keep]
-    return vk @ vk.conj().T
-
-
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with row-major composite indexing (a-index major)."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of the commutator ab - ba."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"commutator_norm: shapes {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a @ b - b @ a))
 
 
 def simultaneous_eigenbasis(ms: np.ndarray | list[np.ndarray]) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Domain types: density operators, POVMs, ensembles, pure states.
+"""Domain types: density operators, POVMs, ensembles.
 
 All types are frozen dataclasses over numpy arrays; constructors symmetrize
 Hermitian inputs and enforce the type invariants (PSD within -1e-10,
@@ -73,36 +73,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_full_rank(self, rank_tol: float = linalg.DEFAULT_RANK_TOL) -> bool:
-        w = np.linalg.eigvalsh(self.matrix)
-        return bool(w[0] > rank_tol * max(w[-1], 0.0))
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Unit vector in C^D."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if not np.isfinite(a).all():
-            raise ValueError("pure state contains non-finite amplitudes")
-        norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"pure state norm {norm!r} is not 1 within 1e-12")
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
-    def to_density(self) -> DensityOperator:
-        return DensityOperator(self.projector())
-
 
 @dataclass(frozen=True)
 class Povm:
@@ -152,16 +122,15 @@ class Povm:
     def __getitem__(self, j: int) -> np.ndarray:
         return self.elements[j]
 
-    def is_real(self, tol: float = 1e-14) -> bool:
-        """True when every element has purely real entries (within tol)."""
-        return bool(np.max(np.abs(self.elements.imag)) <= tol)
+    def is_real(self) -> bool:
+        """True when every element has purely real entries (within 1e-14)."""
+        return bool(np.max(np.abs(self.elements.imag)) <= 1e-14)
 
     def max_commutator_norm(self) -> float:
-        worst = 0.0
-        for i in range(self.num_outcomes):
-            for j in range(i + 1, self.num_outcomes):
-                worst = max(worst, linalg.commutator_norm(self.elements[i], self.elements[j]))
-        return worst
+        """Largest Frobenius norm of a commutator [Pi_i, Pi_j] over all pairs."""
+        e = self.elements
+        products = e[:, None] @ e[None, :]
+        return float(np.linalg.norm(products - np.swapaxes(products, 0, 1), axis=(2, 3)).max())
 
 
 @dataclass(frozen=True)
@@ -222,13 +191,6 @@ class ValidationReport:
     psd_residuals: tuple[float, ...]
     completeness_residual: float
     passed: bool
-
-    def worst(self) -> float:
-        return max(
-            max(self.hermiticity_residuals),
-            max(self.psd_residuals),
-            self.completeness_residual,
-        )
 
 
 def validate_povm(p: Povm | np.ndarray | list, tol: float = 1e-8) -> ValidationReport:
@@ -359,11 +321,11 @@ def random_povm(dim: int, outcomes: int, seed: int, real: bool = False) -> Povm:
     raise ValueError(f"random_povm: singular normalization after 3 draws (dim={dim}, outcomes={outcomes})")
 
 
-def random_pure_states(dim: int, count: int, seed: int) -> list[PureState]:
-    """Normalized complex Gaussian vectors; deterministic for a fixed seed."""
+def random_pure_states(dim: int, count: int, seed: int) -> np.ndarray:
+    """A (count, dim) array of normalized complex Gaussian rows, as
+    ``Ensemble.from_pure`` takes them; deterministic for a fixed seed."""
     if dim < 1 or count < 1:
         raise ValueError(f"need dim >= 1 and count >= 1, got {dim}, {count}")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    return [PureState(row) for row in v]
+    return v / np.linalg.norm(v, axis=1)[:, None]

@@ -84,7 +84,7 @@ def _check_kind(doc: Any, kind: str, what: str) -> None:
 
 def _dim_of(doc: Any, what: str) -> int:
     dim = _require(doc, "dim", what)
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError(f"{what}: dim must be a positive integer, got {dim!r}")
     return dim
 

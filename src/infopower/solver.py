@@ -34,7 +34,6 @@ their tensor powers); on other POVMs the probe fails and the restarts run.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
@@ -69,12 +68,11 @@ class SolverConfig:
 
     ``tol`` sets the certificate margin max(10*tol, 1e-9) nats: a restart
     is certified when no pure state beats its rate by more than that.
-    ``num_states`` is the starting ensemble size and defaults to D^2 (the
-    Davies bound). Each restart runs at most ``MAX_ROUNDS`` column-generation
-    rounds, and compaction drops ensemble members below ``PRUNE_TOL``.
+    Each restart starts from D^2 random pure states (the Davies bound),
+    runs at most ``MAX_ROUNDS`` column-generation rounds, and compaction
+    drops ensemble members below ``PRUNE_TOL``.
     """
 
-    num_states: int | None = None
     restarts: int = 20
     tol: float = 1e-9
     seed: int = 0
@@ -85,17 +83,8 @@ class SolverConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol!r}")
-
-    def resolved_num_states(self, dim: int) -> int:
-        m = dim * dim if self.num_states is None else self.num_states
-        if m < dim:
-            raise ValueError(f"num_states {m} is below the dimension {dim}; D states are required")
-        if m > dim * dim:
-            warnings.warn(
-                f"num_states {m} exceeds D^2 = {dim * dim}; pure-state optima never need more",
-                stacklevel=2,
-            )
-        return m
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -600,8 +589,7 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> Po
     column-generation rounds.
     """
     cfg = cfg or SolverConfig()
-    m = cfg.resolved_num_states(p.dim)
-    outcomes = _run_restarts(p.elements, m, cfg.seed, range(cfg.restarts), cfg.tol)
+    outcomes = _run_restarts(p.elements, p.dim ** 2, cfg.seed, range(cfg.restarts), cfg.tol)
     values = [o.value_nats for o in outcomes]
     best = outcomes[int(np.argmax(values))]
     vectors, prior = _compact(best.vectors, best.priors)

@@ -99,9 +99,7 @@ def test_solve_trivial_example(capsys):
 
 def test_solve_from_file_with_flags(tmp_path, capsys):
     path = write_povm(tmp_path, "trine.json", trine_povm())
-    code, out, _ = run_cli(
-        capsys, "solve", path, "--restarts", "4", "--seed", "3", "--states", "4"
-    )
+    code, out, _ = run_cli(capsys, "solve", path, "--restarts", "4", "--seed", "3")
     assert code == 0
     assert float(out.strip()) == pytest.approx(np.log2(1.5), abs=1e-6)
 
@@ -124,6 +122,20 @@ def test_solve_seed_env_fallback(tmp_path):
     bad_env = dict(os.environ, INFOPOWER_SEED="not-a-number")
     res = subprocess.run(cmd, capture_output=True, text=True, env=bad_env)
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_solve_rejects_a_negative_seed(capsys, monkeypatch, via_env):
+    # projective2 takes the commuting path, which never draws from the seed
+    argv = ["solve", "--example", "projective2"]
+    if via_env:
+        monkeypatch.setenv("INFOPOWER_SEED", "-1")
+    else:
+        argv += ["--seed", "-1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "seed" in err
 
 
 def test_solve_hesse_example_prints_its_closed_form_and_repeats(tmp_path, capsys):
@@ -369,3 +381,24 @@ def test_python_dash_m_entry():
     )
     assert res.returncode == 0
     assert float(res.stdout.strip()) == pytest.approx(np.log2(3.0), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        ({"kind": "povm", "dim": True, "elements": [[[[1.0, 0.0]]]]}, ["validate"]),
+        ({"kind": "ensemble", "dim": True, "priors": [1.0], "states": [[[[1.0, 0.0]]]]},
+         ["duality", "--direction", "to-povm"]),
+        ({"kind": "state", "dim": True, "matrix": [[[1.0, 0.0]]]},
+         ["duality", "--example", "trivial", "--direction", "to-ensemble", "--sigma"]),
+    ],
+    ids=["povm", "ensemble", "state"],
+)
+def test_boolean_dim_is_a_schema_error(tmp_path, capsys, doc, argv):
+    """JSON true is a Python int; it must not pass as dimension 1."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert "dim" in err

@@ -183,7 +183,7 @@ def test_mutual_information_matches_independent_formula():
         states = random_pure_states(3, 5, seed=seed + 100)
         priors = rng.random(5)
         priors /= priors.sum()
-        e = Ensemble(priors, np.stack([s.projector() for s in states]))
+        e = Ensemble.from_pure(priors, states)
         direct = mi_bits_direct(priors, e.states_stack(), p.elements)
         assert mutual_information(e, p) == pytest.approx(direct, abs=1e-10)
 

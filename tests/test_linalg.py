@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from infopower import linalg
 from infopower.errors import (
-    DimensionMismatch,
     NotCommuting,
     NotPositiveSemidefinite,
     ZeroOperator,
@@ -75,8 +74,8 @@ def test_pinv_sqrt_inverts_on_support():
 
 def test_pinv_sqrt_rank_tol_cutoff():
     m = np.diag([1.0, 1e-15])
-    r = linalg.pinv_sqrt(m, rank_tol=1e-12)
-    assert r[1, 1] == 0.0, "eigenvalue below rank_tol * lambda_max is treated as zero"
+    r = linalg.pinv_sqrt(m)
+    assert r[1, 1] == 0.0, "eigenvalue below DEFAULT_RANK_TOL * lambda_max is treated as zero"
 
 
 def test_pinv_sqrt_zero_matrix_raises():
@@ -84,36 +83,11 @@ def test_pinv_sqrt_zero_matrix_raises():
         linalg.pinv_sqrt(np.zeros((2, 2)))
 
 
-def test_support_projector():
-    m = np.diag([3.0, 2.0, 0.0])
-    p = linalg.support_projector(m)
-    assert np.allclose(p, np.diag([1.0, 1.0, 0.0]))
-    assert np.allclose(p @ p, p)
-
-
 def test_tensor_matches_kron():
     rng = np.random.default_rng(3)
     a = _random_hermitian(2, rng)
     b = _random_hermitian(3, rng)
     assert np.array_equal(linalg.tensor(a, b), np.kron(a, b))
-
-
-def test_commutator_norm_zero_for_commuting():
-    d1 = np.diag([1.0, 2.0])
-    d2 = np.diag([3.0, 5.0])
-    assert linalg.commutator_norm(d1, d2) == 0.0
-
-
-def test_commutator_norm_matches_direct_computation():
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    z = np.diag([1.0, -1.0])
-    expected = np.linalg.norm(x @ z - z @ x)
-    assert linalg.commutator_norm(x, z) == pytest.approx(expected, abs=1e-14)
-
-
-def test_commutator_norm_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        linalg.commutator_norm(np.eye(2), np.eye(3))
 
 
 def test_simultaneous_eigenbasis_diagonalizes_family():

@@ -7,7 +7,6 @@ from infopower.objects import (
     DensityOperator,
     Ensemble,
     Povm,
-    PureState,
     anti_tetrahedral_ensemble,
     ensemble_average,
     hesse_sic_povm,
@@ -33,7 +32,6 @@ from helpers import random_unitary
 def test_density_operator_valid():
     rho = DensityOperator(np.diag([0.25, 0.75]))
     assert rho.dim == 2
-    assert rho.is_full_rank()
 
 
 def test_density_operator_rejects_negative():
@@ -51,19 +49,6 @@ def test_density_operator_hermitizes_tiny_asymmetry():
     m[0, 1] = 1e-13j
     rho = DensityOperator(m)
     assert np.array_equal(rho.matrix, rho.matrix.conj().T)
-
-
-def test_pure_state_projector():
-    psi = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
-    p = psi.projector()
-    assert np.allclose(p, np.full((2, 2), 0.5))
-    assert psi.to_density().dim == 2
-    assert not psi.to_density().is_full_rank()
-
-
-def test_pure_state_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        PureState(np.array([1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +88,6 @@ def test_povm_indexing():
 def test_validate_povm_passes_sic():
     rep = validate_povm(tetrahedral_sic_povm(), tol=1e-9)
     assert rep.passed
-    assert rep.worst() <= 1e-9
     assert len(rep.psd_residuals) == 4
 
 
@@ -264,6 +248,25 @@ def test_sic_tensor_sic_commutators_nonzero():
     assert t.max_commutator_norm() > 1e-3
 
 
+@pytest.mark.parametrize(
+    "povm",
+    [random_povm(3, 5, seed=1), random_povm(4, 8, seed=2), tetrahedral_sic_povm()],
+    ids=["rand3x5", "rand4x8", "sic"],
+)
+def test_max_commutator_norm_matches_pairwise_norms(povm):
+    e = povm.elements
+    expected = max(
+        np.linalg.norm(e[i] @ e[j] - e[j] @ e[i])
+        for i in range(len(e)) for j in range(i + 1, len(e))
+    )
+    assert expected > 1e-3
+    assert povm.max_commutator_norm() == pytest.approx(expected, rel=0, abs=1e-14)
+
+
+def test_max_commutator_norm_is_zero_for_projective():
+    assert standard_projective_povm(3).max_commutator_norm() == 0.0
+
+
 # ---------------------------------------------------------------------------
 # random generators
 
@@ -296,11 +299,10 @@ def test_random_povm_real_flag():
 
 def test_random_pure_states():
     states = random_pure_states(3, 5, seed=9)
-    assert len(states) == 5
-    for s in states:
-        assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    again = random_pure_states(3, 5, seed=9)
-    assert all(np.array_equal(s.amplitudes, t.amplitudes) for s, t in zip(states, again))
+    assert states.shape == (5, 3)
+    assert np.allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.array_equal(states, random_pure_states(3, 5, seed=9))
+    assert len(Ensemble.from_pure(np.full(5, 0.2), states)) == 5
 
 
 def test_povm_unitary_conjugation_stays_valid():

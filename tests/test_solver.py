@@ -58,15 +58,8 @@ def test_solver_config_validation():
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
-
-
-def test_num_states_default_and_bounds():
-    cfg = SolverConfig()
-    assert cfg.resolved_num_states(3) == 9
-    with pytest.raises(ValueError):
-        SolverConfig(num_states=2).resolved_num_states(3)
-    with pytest.warns(UserWarning):
-        assert SolverConfig(num_states=10).resolved_num_states(3) == 10
+    with pytest.raises(ValueError, match="seed"):
+        SolverConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +309,7 @@ def test_restart_value_is_soundly_recomputable():
 
 def test_polish_reports_the_rate_of_its_result():
     p = random_povm(3, 5, seed=1)
-    vectors = np.stack([s.amplitudes for s in random_pure_states(3, 9, seed=7)])
+    vectors = random_pure_states(3, 9, seed=7)
     v, r, rate = solver._polish(vectors[None], np.full((1, 9), 1 / 9), p.elements)
     assert rate[0] == channel_mutual_information_nats(r[0], solver._channel_probs(v[0], p.elements))
 
@@ -327,7 +320,7 @@ def test_kernels_give_a_row_the_same_bits_alone_as_in_a_block():
     also past the row counts (151 on rand4x8) at which the BLAS changes
     its kernel."""
     for povm in (random_povm(4, 8, seed=2), random_povm(5, 10, seed=3)):
-        vectors = np.stack([s.amplitudes for s in random_pure_states(povm.dim, 400, seed=3)])
+        vectors = random_pure_states(povm.dim, 400, seed=3)
         probs = solver._channel_probs(vectors, povm.elements)
         lr = np.log(probs + 0.1)
         h = solver._weighted_elements(lr, povm.elements)
@@ -577,7 +570,7 @@ def test_state_gradient_matches_finite_differences():
         states = random_pure_states(dim, 3, seed=seed + 40)
         priors = rng.random(3)
         priors /= priors.sum()
-        e = Ensemble(priors, np.stack([s.projector() for s in states]))
+        e = Ensemble.from_pure(priors, states)
         grads = state_gradient(e, p)
         for i in range(3):
             fd = fd_state_gradient(e, p, i)
