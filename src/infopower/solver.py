@@ -7,8 +7,9 @@ path is column generation over the input alphabet (Blahut 1972; Arimoto
 Rehacek, Englert and Kaszlikowski (PRA 2005). Each multistart restart
 keeps a finite ensemble of pure states and repeats one round:
 
-1. polish: joint L-BFGS ascent of I over softmax prior logits and state
-   amplitudes, with analytic gradients;
+1. polish: L-BFGS ascent of I, with analytic gradients, over the vectors
+   u_i = sqrt(r_i) psi_i, whose outer products sum to the average state;
+   every member has about the same curvature there, whatever its prior;
 2. compact: drop negligible-prior members and fold duplicates;
 3. refit: one warm-started, capped Blahut-Arimoto run on the prior;
 4. probe: search for a pure state whose relative entropy to the output
@@ -294,43 +295,47 @@ def _lbfgs_ascent(
             stop |= slope <= 0.0
 
 
+def _polish_point(x: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states u_i/|u_i|, priors |u_i|^2 / sum_k |u_k|^2 and norms |u_i|
+    of the ensembles u_i = sqrt(r_i) psi_i held as real views in ``x``."""
+    u = x.view(complex).reshape(len(x), -1, dim)
+    norms = np.linalg.norm(u, axis=2)
+    return u / norms[..., None], norms**2 / np.sum(norms**2, axis=1, keepdims=True), norms
+
+
+def _polish_fg(x: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I and its gradient at every row of ``x``: along u_i the gradient is
+    (t_i + 2 r_i (D_i - I) psi_i) / |u_i|, with t_i the tangent state
+    gradient and D_i = D(p(.|i) || q). The second term, equal to
+    2 (D_i - I) u_i / sum_k |u_k|^2, comes from the prior. The gradient is
+    orthogonal to each row, as I does not change with the scale of u."""
+    v, r, norms = _polish_point(x, elements.shape[1])
+    probs = _channel_probs(v, elements)
+    lr = _log_ratio(probs, (r[:, None, :] @ probs)[:, 0])
+    d = np.sum(probs * lr, axis=2)
+    value = (r[:, None, :] @ d[:, :, None])[:, 0, 0]
+    radial = 2.0 * r * (d - value[:, None])
+    g = (_mi_gradient(v, r, elements, lr) + radial[..., None] * v) / norms[..., None]
+    return value, g.view(float).reshape(len(x), -1)
+
+
 def _polish(
     vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Joint ascent of I over softmax prior logits and state amplitudes, for
-    a stack of ensembles of equal size: ``vectors`` (R, m, D), ``prior``
-    (R, m).
+    """Joint ascent of I over a stack of ensembles of equal size,
+    ``vectors`` (R, m, D) and ``prior`` (R, m), in u_i = sqrt(r_i) psi_i.
 
-    The logit gradient is r_i (D_i - I) with D_i = D(p(.|i) || q); the
-    amplitude gradient is the tangent state gradient scaled by 1/|z_i|,
-    since the states are the normalized amplitudes. Returns the states,
-    the priors and their rates, shape (R,); each rate is never below its
-    starting rate, and each ensemble's result does not depend on the
-    others in the stack.
+    Over prior logits the curvature of member i scales with r_i; in u it
+    is about 1/sum_k |u_k|^2 for every member, so one L-BFGS scale per row
+    fits light and heavy members alike. A zero prior starts at
+    sqrt(_TINY). Returns the states, the priors and their rates, shape
+    (R,); each rate is never below its starting rate, and each ensemble's
+    result does not depend on the others in the stack.
     """
-    rows, m, dim = vectors.shape
-
-    def unpack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        z = x[:, m:].view(complex).reshape(-1, m, dim)
-        norms = np.linalg.norm(z, axis=2)
-        logits = x[:, :m]
-        t = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return z / norms[..., None], t / t.sum(axis=1, keepdims=True), norms
-
-    def fg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v, r, norms = unpack(x)
-        probs = _channel_probs(v, elements)
-        lr = _log_ratio(probs, (r[:, None, :] @ probs)[:, 0])
-        d = np.sum(probs * lr, axis=2)
-        value = (r[:, None, :] @ d[:, :, None])[:, 0, 0]
-        gv = _mi_gradient(v, r, elements, lr) / norms[..., None]
-        return value, np.concatenate([r * (d - value[:, None]), gv.view(float).reshape(len(x), -1)],
-                                     axis=1)
-
-    x0 = np.concatenate([np.log(np.maximum(prior, _TINY)), vectors.view(float).reshape(rows, -1)],
-                        axis=1)
-    x, value = _lbfgs_ascent(fg, x0, POLISH_MAX_ITER)
-    v, r, _ = unpack(x)
+    rows, _, dim = vectors.shape
+    x0 = (np.sqrt(np.maximum(prior, _TINY))[..., None] * vectors).view(float).reshape(rows, -1)
+    x, value = _lbfgs_ascent(lambda x: _polish_fg(x, elements), x0, POLISH_MAX_ITER)
+    v, r, _ = _polish_point(x, dim)
     return v, r, value
 
 
@@ -576,7 +581,8 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> Po
 
     The name is kept from the see-saw solver this replaced. Runs
     ``cfg.restarts`` independently seeded restarts in lockstep, keeps the
-    best, compacts its ensemble, and reports the recomputed mutual
+    best, compacts its ensemble, refits its prior to ``INNER_BA_TOL`` (the
+    rounds stop at 0.1 * margin), and reports the recomputed mutual
     information of the final ensemble. Restarts differ in their starting
     ensembles and in the random starts of the violator search, the one
     non-convex step. ``jobs`` is accepted for compatibility and has no
@@ -593,6 +599,8 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> Po
     values = [o.value_nats for o in outcomes]
     best = outcomes[int(np.argmax(values))]
     vectors, prior = _compact(best.vectors, best.priors)
+    prior, _ = _refit(_channel_probs(vectors, p.elements), prior, INNER_BA_TOL)
+    vectors, prior = vectors[prior > 0], prior[prior > 0]
     return _power_report(p, vectors, prior, cfg.base, converged=best.converged,
                          iterations_used=best.iterations, fast_path_used=False,
                          per_restart_values=tuple(cfg.base.from_nats(v) for v in values))
