@@ -17,10 +17,13 @@ keeps a finite ensemble of pure states and repeats one round:
    margin, the dual bound certifies the rate; otherwise the best violator
    joins the ensemble with a weight that raises the rate.
 
-The restarts advance in lockstep in one process: each round polishes and
-probes all running restarts together, stacked on a leading axis, and a
-restart leaves as soon as it stops. No restart's arithmetic depends on
-which others run beside it.
+The dual bound certifies a rate whichever restart produced it, so
+restart 0 runs alone first, and its result is the answer when it
+certifies. Only when it ends uncertified do the other restarts run, in
+lockstep in one process: each round polishes and probes all running
+restarts together, stacked on a leading axis, and a restart leaves as
+soon as it stops. No restart's arithmetic depends on which others run
+beside it.
 
 POVMs with commuting elements skip all of this: the optimum is achieved on
 the common eigenbasis, so a single Blahut-Arimoto run is exact.
@@ -69,9 +72,11 @@ class SolverConfig:
 
     ``tol`` sets the certificate margin max(10*tol, 1e-9) nats: a restart
     is certified when no pure state beats its rate by more than that.
-    Each restart starts from D^2 random pure states (the Davies bound),
-    runs at most ``MAX_ROUNDS`` column-generation rounds, and compaction
-    drops ensemble members below ``PRUNE_TOL``.
+    ``restarts`` is an upper bound: restarts 1..restarts-1 run only when
+    restart 0 ends uncertified. Each restart starts from D^2 random pure
+    states (the Davies bound), runs at most ``MAX_ROUNDS``
+    column-generation rounds, and compaction drops ensemble members below
+    ``PRUNE_TOL``.
     """
 
     restarts: int = 20
@@ -579,23 +584,29 @@ def _power_report(p: Povm, vectors: np.ndarray, prior: np.ndarray, base: LogBase
 def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> PowerReport:
     """Generic multistart column-generation estimate of W(Pi).
 
-    The name is kept from the see-saw solver this replaced. Runs
-    ``cfg.restarts`` independently seeded restarts in lockstep, keeps the
-    best, compacts its ensemble, refits its prior to ``INNER_BA_TOL`` (the
-    rounds stop at 0.1 * margin), and reports the recomputed mutual
-    information of the final ensemble. Restarts differ in their starting
-    ensembles and in the random starts of the violator search, the one
-    non-convex step. ``jobs`` is accepted for compatibility and has no
-    effect: the restarts share one process.
+    The name is kept from the see-saw solver this replaced. Runs restart
+    0 alone; when it certifies, it is the answer. Otherwise the other
+    ``cfg.restarts - 1`` independently seeded restarts run in lockstep and
+    the best of all of them is kept. The kept restart's ensemble is
+    compacted, its prior refit to ``INNER_BA_TOL`` (the rounds stop at
+    0.1 * margin), and the report gives the recomputed mutual information
+    of the final ensemble. Restarts differ in their starting ensembles and
+    in the random starts of the violator search, the one non-convex step.
+    The result depends on (seed, restarts) alone. ``jobs`` is accepted for
+    compatibility and has no effect: the restarts share one process.
 
     ``converged`` reflects the winning restart: True when no pure state
     beats the dual optimality bound at its output distribution by more
     than the certificate margin (max(10*tol, 1e-9) nats), False when it
     stopped before that certificate. ``iterations_used`` counts its
-    column-generation rounds.
+    column-generation rounds. ``per_restart_values`` holds the value of
+    every restart that ran: one entry when restart 0 certified, else
+    ``cfg.restarts``.
     """
     cfg = cfg or SolverConfig()
-    outcomes = _run_restarts(p.elements, p.dim ** 2, cfg.seed, range(cfg.restarts), cfg.tol)
+    outcomes = _run_restarts(p.elements, p.dim ** 2, cfg.seed, [0], cfg.tol)
+    if not outcomes[0].converged and cfg.restarts > 1:
+        outcomes += _run_restarts(p.elements, p.dim ** 2, cfg.seed, range(1, cfg.restarts), cfg.tol)
     values = [o.value_nats for o in outcomes]
     best = outcomes[int(np.argmax(values))]
     vectors, prior = _compact(best.vectors, best.priors)

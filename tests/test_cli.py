@@ -104,6 +104,18 @@ def test_solve_from_file_with_flags(tmp_path, capsys):
     assert float(out.strip()) == pytest.approx(np.log2(1.5), abs=1e-6)
 
 
+def test_solve_generic_file_reports_one_restart_when_it_certifies(tmp_path, capsys):
+    # rand3x5 fails the symmetric probe; restart 0 certifies it alone, so
+    # the other default restarts never run
+    path = write_povm(tmp_path, "rand3x5.json", random_povm(3, 5, seed=1))
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "solve", path, "--out", str(out_path))
+    assert code == 0
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    assert doc["converged"] is True and doc["fast_path_used"] is False
+    assert doc["per_restart_values"] == [pytest.approx(float(out.strip()), abs=1e-6)]
+
+
 def test_solve_base_nats(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--example", "sic", "--restarts", "3", "--base", "nats"

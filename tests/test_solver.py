@@ -256,7 +256,8 @@ def test_report_invariants():
     assert rep.w_estimate == pytest.approx(
         mutual_information(rep.best_ensemble, p), abs=1e-12
     )
-    assert len(rep.per_restart_values) == 4
+    # restarts is an upper bound: restart 0 certifies the SIC alone
+    assert len(rep.per_restart_values) == 1
     assert max(rep.per_restart_values) <= rep.w_estimate + 1e-9
     assert rep.pruned_to == len(rep.best_ensemble)
     assert rep.bound_check.m_eff == rep.pruned_to
@@ -462,6 +463,24 @@ def test_certified_restarts_sit_within_the_margin_of_the_best():
     for o in outcomes:
         if o.converged:
             assert o.value_nats >= best - max(10 * tol, 1e-9)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["rand4x8", "sic2_one_round"])
+def test_other_restarts_run_only_when_restart_zero_does_not_certify(fallback, monkeypatch):
+    """Restart 0 runs alone, and when it certifies its value is the only
+    one reported. One round is too few for it to certify SIC(x)SIC; then
+    restarts 1..R-1 run as well, and the report is the best of all R."""
+    if fallback:
+        monkeypatch.setattr(solver, "MAX_ROUNDS", 1)
+        p, restarts, ran = tensor_power(tetrahedral_sic_povm(), 2), 3, range(3)
+    else:
+        p, restarts, ran = random_povm(4, 8, seed=2), 4, [0]
+    rep = see_saw_power(p, SolverConfig(restarts=restarts))
+    values = tuple(LogBase.BITS.from_nats(o.value_nats)
+                   for o in solver._run_restarts(p.elements, p.dim ** 2, 0, ran, 1e-9))
+    assert rep.per_restart_values == values
+    assert rep.converged is not fallback
+    assert rep.w_estimate >= max(values)
 
 
 def test_unitary_covariance_of_power():
