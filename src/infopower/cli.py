@@ -186,14 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute the informational power of a POVM")
     add_input(p)
     p.add_argument("--restarts", type=int, default=SolverConfig.restarts,
-                   help="at most R restarts; the others run only if restart 0 does not certify")
+                   help="at most R restarts, run one at a time; none runs after the first that certifies")
     p.add_argument("--tol", type=float, default=SolverConfig.tol,
                    help="certificate margin is max(10*tol, 1e-9) nats")
     p.add_argument("--seed", type=int, default=None, help="fallback: INFOPOWER_SEED, then 0")
     p.add_argument("--base", choices=[b.value for b in LogBase], default=SolverConfig.base.value)
     p.add_argument("--out", help="write the full report to this path")
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; restarts run in lockstep in one process")
+                   help="accepted for compatibility; restarts run one at a time in one process")
 
     p = sub.add_parser("duality", help="map a POVM to its dual ensemble or back")
     add_input(p)

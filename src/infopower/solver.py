@@ -17,13 +17,10 @@ keeps a finite ensemble of pure states and repeats one round:
    margin, the dual bound certifies the rate; otherwise the best violator
    joins the ensemble with a weight that raises the rate.
 
-The dual bound certifies a rate whichever restart produced it, so
-restart 0 runs alone first, and its result is the answer when it
-certifies. Only when it ends uncertified do the other restarts run, in
-lockstep in one process: each round polishes and probes all running
-restarts together, stacked on a leading axis, and a restart leaves as
-soon as it stops. No restart's arithmetic depends on which others run
-beside it.
+The dual bound certifies a rate whichever restart produced it, so the
+restarts run one at a time and stop at the first that certifies; the
+best rate among those that ran is kept. Restart k's run depends on
+(seed, k) alone.
 
 POVMs with commuting elements skip all of this: the optimum is achieved on
 the common eigenbasis, so a single Blahut-Arimoto run is exact.
@@ -38,7 +35,7 @@ their tensor powers); on other POVMs the probe fails and the restarts run.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,9 +69,9 @@ class SolverConfig:
 
     ``tol`` sets the certificate margin max(10*tol, 1e-9) nats: a restart
     is certified when no pure state beats its rate by more than that.
-    ``restarts`` is an upper bound: restarts 1..restarts-1 run only when
-    restart 0 ends uncertified. Each restart starts from D^2 random pure
-    states (the Davies bound), runs at most ``MAX_ROUNDS``
+    ``restarts`` is an upper bound: the restarts run one at a time and
+    stop at the first that certifies. Each restart starts from D^2 random
+    pure states (the Davies bound), runs at most ``MAX_ROUNDS``
     column-generation rounds, and compaction drops ensemble members below
     ``PRUNE_TOL``.
     """
@@ -163,9 +160,11 @@ def _normalize_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The dot product of each row of ``a`` with the same row of ``b``."""
-    return np.einsum("ij,ij->i", a, b)
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b for 1-D ``a`` and ``b``, by einsum rather than the BLAS dot,
+    which sums in another order: the L-BFGS steps, and so the reports,
+    keep the bits they had when the ascent ran on stacked rows."""
+    return np.einsum("i,i", a, b)
 
 
 def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -185,163 +184,129 @@ def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _channel_probs(vectors: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Outcome probabilities <psi_i|Pi_j|psi_i> for unit row vectors, as
-    one real product of the rows of |psi_i><psi_i| against the elements; a
-    stack (..., m, D) of ensembles goes through as one block of rows."""
+    one real product of the rows of |psi_i><psi_i| against the elements."""
     n, dim, _ = elements.shape
-    flat = vectors.reshape(-1, dim)
-    outer = np.ascontiguousarray(flat.conj()[:, :, None] * flat[:, None, :]).reshape(-1, dim * dim)
+    outer = np.ascontiguousarray(vectors.conj()[:, :, None] * vectors[:, None, :]).reshape(-1, dim * dim)
     layout = np.ascontiguousarray(elements.reshape(n, dim * dim).conj())
     probs = _row_product(outer.view(float), layout.view(float).T)
-    return np.clip(probs, 0.0, 1.0).reshape(*vectors.shape[:-1], n)
+    return np.clip(probs, 0.0, 1.0)
 
 
 def _weighted_elements(lr: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """H_i = sum_j lr_ij Pi_j for every row of ``lr`` (any leading shape),
-    as one real product against the elements flattened to (N, 2*D*D)."""
+    """H_i = sum_j lr_ij Pi_j for every row of ``lr``, as one real product
+    against the elements flattened to (N, 2*D*D)."""
     n, dim, _ = elements.shape
     flat = np.ascontiguousarray(elements).reshape(n, dim * dim)
-    h = _row_product(lr.reshape(-1, n), flat.view(float))
-    return h.view(complex).reshape(*lr.shape[:-1], dim, dim)
+    return _row_product(lr, flat.view(float)).view(complex).reshape(-1, dim, dim)
 
 
 def _mi_gradient(vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray,
                  lr: np.ndarray) -> np.ndarray:
-    """Tangent gradient of I w.r.t. the state vectors, priors fixed; ``lr``
-    is the log-ratio ln(p_ij / q_j) at the states. Takes one ensemble,
-    (m, D), or a stack of them, (R, m, D)."""
-    hv = (_weighted_elements(lr, elements) @ vectors[..., None])[..., 0]
-    g = 2.0 * prior[..., None] * hv
-    radial = np.sum(np.real(vectors.conj() * g), axis=-1)
-    return g - radial[..., None] * vectors
+    """Tangent gradient of I w.r.t. the state vectors (m, D), priors fixed;
+    ``lr`` is the log-ratio ln(p_ij / q_j) at the states."""
+    hv = (_weighted_elements(lr, elements) @ vectors[:, :, None])[:, :, 0]
+    g = 2.0 * prior[:, None] * hv
+    radial = np.sum(np.real(vectors.conj() * g), axis=1)
+    return g - radial[:, None] * vectors
 
 
-def _lbfgs_direction(g: np.ndarray, s_mem: np.ndarray, y_mem: np.ndarray, rho: np.ndarray,
-                     held: np.ndarray) -> np.ndarray:
-    """The L-BFGS two-loop direction for every row of ``g``.
-
-    Row r holds its ``held[r]`` newest curvature pairs in the last slots
-    of ``s_mem[:, r]``, ``y_mem[:, r]`` and ``rho[:, r]``, oldest first.
-    The slots before them are zero, so the updates they would make are
-    exact no-ops and a row's direction does not depend on the other rows.
-    With no pairs the direction is g scaled down to at most unit length.
-    """
+def _lbfgs_direction(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
+    """The L-BFGS two-loop direction at gradient ``g`` from ``pairs``, the
+    newest curvature pairs (s, y, 1/s.y), oldest first. With no pairs the
+    direction is g scaled down to at most unit length."""
+    if not pairs:
+        return g / max(1.0, np.sqrt(np.sum(g * g)))
     d = g.copy()
-    slots = range(LBFGS_MEMORY - int(held.max()), LBFGS_MEMORY)
-    alphas = {}
-    for j in reversed(slots):
-        alphas[j] = rho[j] * _rowdot(s_mem[j], d)[:, None]
-        d -= alphas[j] * y_mem[j]
-    s, y, some = s_mem[-1], y_mem[-1], (held > 0)[:, None]
-    gamma = _rowdot(s, y)[:, None] / np.where(some, _rowdot(y, y)[:, None], 1.0)
-    d = np.where(some, d * gamma, d / np.maximum(1.0, np.linalg.norm(g, axis=1))[:, None])
-    for j in slots:
-        d -= (rho[j] * _rowdot(y_mem[j], d)[:, None] - alphas[j]) * s_mem[j]
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * _dot(s, d))
+        d -= alphas[-1] * y
+    s, y, _ = pairs[-1]
+    d *= _dot(s, y) / _dot(y, y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        d -= (rho * _dot(y, d) - alpha) * s
     return d
 
 
 def _lbfgs_ascent(
-    fg: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x: np.ndarray,
     max_iter: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize f from every row of ``x`` by L-BFGS with Armijo backtracking.
+) -> tuple[np.ndarray, float]:
+    """Maximize f from ``x`` by L-BFGS with Armijo backtracking.
 
-    The rows are independent problems run in lockstep: ``fg(x)`` returns
-    ``(f, grad f)`` row by row for any subset of the rows, and each tick
-    evaluates one trial point per live row. Each row keeps its own
-    curvature pairs, kept only when s.y > 0 so that the direction ascends
-    wherever the gradient is nonzero, and backtracks on its own. Only
-    steps that raise f are taken, so f at a returned row is never below f
-    at its start. A row stops after ``max_iter`` steps, or when no step
-    along its direction raises f within 40 halvings, which at the end
-    happens at the double-precision resolution of f; a stopped row is
-    never evaluated again. Returns the final points and f there.
+    ``fg(x)`` returns ``(f, grad f)``. Curvature pairs are kept only when
+    s.y > 0, so that the direction ascends wherever the gradient is
+    nonzero. Only steps that raise f are taken, so f at the returned point
+    is never below f at the start. The ascent stops after ``max_iter``
+    steps, or when no step along the direction raises f within 40
+    halvings, which at the end happens at the double-precision resolution
+    of f. Returns the final point and f there.
     """
-    x, x_end, f_end = x.copy(), np.empty_like(x), np.empty(len(x))
     f, g = fg(x)
-    at = np.arange(len(x))  # the row of x that each live row came from
-    s_mem = np.zeros((LBFGS_MEMORY, *x.shape))
-    y_mem = np.zeros((LBFGS_MEMORY, *x.shape))
-    rho = np.zeros((LBFGS_MEMORY, len(x), 1))
-    held, steps, halvings = (np.zeros(len(x), dtype=int) for _ in range(3))
-    step = np.ones(len(x))
-    d = _lbfgs_direction(g, s_mem, y_mem, rho, held)
-    slope = _rowdot(g, d)
-    stop = (slope <= 0.0) | (max_iter <= 0)
-    while True:
-        if stop.any():
-            x_end[at[stop]], f_end[at[stop]] = x[stop], f[stop]
-            go = ~stop
-            if not go.any():
-                return x_end, f_end
-            at, x, f, g, d, slope, step, held, steps, halvings = (
-                a[go] for a in (at, x, f, g, d, slope, step, held, steps, halvings))
-            s_mem, y_mem, rho = s_mem[:, go], y_mem[:, go], rho[:, go]
-        x_new = x + step[:, None] * d
-        f_new, g_new = fg(x_new)
-        ok = f_new > f + 1e-4 * step * slope
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    d = _lbfgs_direction(g, pairs)
+    slope = _dot(g, d)
+    for _ in range(max_iter):
+        if slope <= 0.0:
+            break
+        for step in 0.5 ** np.arange(40):
+            x_new = x + step * d
+            f_new, g_new = fg(x_new)
+            if f_new > f + 1e-4 * step * slope:
+                break
+        else:
+            break
         s, y = x_new - x, g - g_new
-        sy = _rowdot(s, y)
-        pair = ok & (sy > 0.0)
-        for mem, new in ((s_mem, s[pair]), (y_mem, y[pair]), (rho, 1.0 / sy[pair, None])):
-            mem[:-1, pair] = mem[1:, pair]
-            mem[-1, pair] = new
-        held = np.minimum(held + pair, LBFGS_MEMORY)
-        np.copyto(x, x_new, where=ok[:, None])
-        np.copyto(f, f_new, where=ok)
-        np.copyto(g, g_new, where=ok[:, None])
-        steps += ok
-        halvings = np.where(ok, 0, halvings + 1)
-        step = np.where(ok, 1.0, step * 0.5)
-        stop = np.where(ok, steps >= max_iter, halvings >= 40)
-        if ok.any():
-            np.copyto(d, _lbfgs_direction(g, s_mem, y_mem, rho, held), where=ok[:, None])
-            np.copyto(slope, _rowdot(g, d), where=ok)
-            stop |= slope <= 0.0
+        sy = _dot(s, y)
+        if sy > 0.0:
+            pairs = [*pairs, (s, y, 1.0 / sy)][-LBFGS_MEMORY:]
+        x, f, g = x_new, f_new, g_new
+        d = _lbfgs_direction(g, pairs)
+        slope = _dot(g, d)
+    return x, f
 
 
 def _polish_point(x: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The states u_i/|u_i|, priors |u_i|^2 / sum_k |u_k|^2 and norms |u_i|
-    of the ensembles u_i = sqrt(r_i) psi_i held as real views in ``x``."""
-    u = x.view(complex).reshape(len(x), -1, dim)
-    norms = np.linalg.norm(u, axis=2)
-    return u / norms[..., None], norms**2 / np.sum(norms**2, axis=1, keepdims=True), norms
+    of the ensemble u_i = sqrt(r_i) psi_i held as a real view in ``x``."""
+    u = x.view(complex).reshape(-1, dim)
+    norms = np.linalg.norm(u, axis=1)
+    return u / norms[:, None], norms**2 / np.sum(norms**2), norms
 
 
-def _polish_fg(x: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """I and its gradient at every row of ``x``: along u_i the gradient is
+def _polish_fg(x: np.ndarray, elements: np.ndarray) -> tuple[float, np.ndarray]:
+    """I and its gradient at ``x``: along u_i the gradient is
     (t_i + 2 r_i (D_i - I) psi_i) / |u_i|, with t_i the tangent state
     gradient and D_i = D(p(.|i) || q). The second term, equal to
     2 (D_i - I) u_i / sum_k |u_k|^2, comes from the prior. The gradient is
-    orthogonal to each row, as I does not change with the scale of u."""
+    orthogonal to ``x``, as I does not change with the scale of u."""
     v, r, norms = _polish_point(x, elements.shape[1])
     probs = _channel_probs(v, elements)
-    lr = _log_ratio(probs, (r[:, None, :] @ probs)[:, 0])
-    d = np.sum(probs * lr, axis=2)
-    value = (r[:, None, :] @ d[:, :, None])[:, 0, 0]
-    radial = 2.0 * r * (d - value[:, None])
-    g = (_mi_gradient(v, r, elements, lr) + radial[..., None] * v) / norms[..., None]
-    return value, g.view(float).reshape(len(x), -1)
+    lr = _log_ratio(probs, r @ probs)
+    d = np.sum(probs * lr, axis=1)
+    value = r @ d
+    radial = 2.0 * r * (d - value)
+    g = (_mi_gradient(v, r, elements, lr) + radial[:, None] * v) / norms[:, None]
+    return value, g.view(float).ravel()
 
 
 def _polish(
     vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Joint ascent of I over a stack of ensembles of equal size,
-    ``vectors`` (R, m, D) and ``prior`` (R, m), in u_i = sqrt(r_i) psi_i.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Ascent of I over the ensemble ``vectors`` (m, D), ``prior`` (m,),
+    in u_i = sqrt(r_i) psi_i.
 
     Over prior logits the curvature of member i scales with r_i; in u it
-    is about 1/sum_k |u_k|^2 for every member, so one L-BFGS scale per row
-    fits light and heavy members alike. A zero prior starts at
-    sqrt(_TINY). Returns the states, the priors and their rates, shape
-    (R,); each rate is never below its starting rate, and each ensemble's
-    result does not depend on the others in the stack.
+    is about 1/sum_k |u_k|^2 for every member, so one L-BFGS scale fits
+    light and heavy members alike. A zero prior starts at sqrt(_TINY).
+    Returns the states, the priors and their rate, which is never below
+    the starting rate.
     """
-    rows, _, dim = vectors.shape
-    x0 = (np.sqrt(np.maximum(prior, _TINY))[..., None] * vectors).view(float).reshape(rows, -1)
+    x0 = (np.sqrt(np.maximum(prior, _TINY))[:, None] * vectors).view(float).ravel()
     x, value = _lbfgs_ascent(lambda x: _polish_fg(x, elements), x0, POLISH_MAX_ITER)
-    v, r, _ = _polish_point(x, dim)
-    return v, r, value
+    v, r, _ = _polish_point(x, vectors.shape[1])
+    return v, r, float(value)
 
 
 def _compact(vectors: np.ndarray, prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,76 +347,61 @@ def _refit(probs: np.ndarray, prior: np.ndarray, tol: float) -> tuple[np.ndarray
 def _max_relative_entropy_states(
     q: np.ndarray,
     elements: np.ndarray,
-    rngs: list[np.random.Generator],
+    rng: np.random.Generator,
     n_init: int,
-    extra_inits: list[np.ndarray],
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Search for pure states maximizing D(P(.|psi) || q_k), q held fixed,
-    once for every row q_k of ``q``.
+    extra: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Search for pure states maximizing D(P(.|psi) || q), q held fixed.
 
     Every start repeatedly jumps to the top eigenvector of
     H = sum_j ln(p_j / q_j) Pi_j. D is convex in |psi><psi| and its
     gradient there is H plus the identity, so the jump maximizes a lower
     bound that is tight at the current state and never lowers D; it needs
     no step size. A start keeps its state when a jump would not raise D
-    (outcomes with p_j = 0 are left out of H). Search k draws ``n_init``
-    random starts from ``rngs[k]``, and the rows of ``extra_inits[k]``
-    (e.g. the current ensemble) climb alongside them. The starts of all
-    searches step together, for at most PROBE_MAX_STEPS steps, and each
-    start leaves on its own:
+    (outcomes with p_j = 0 are left out of H). The search draws ``n_init``
+    random starts from ``rng``, and the rows of ``extra`` (e.g. the
+    current ensemble) climb alongside them. The starts step together, for
+    at most PROBE_MAX_STEPS steps, and each start leaves on its own:
     - when its jump gains less than 1e-12 nats (a positive gain is kept);
-    - when, after a step, its state overlaps a live start of its own
-      search with a higher value (on a tie, a lower index) by more than
-      1 - MERGE_OVERLAP_TOL, the fold test of ``_compact``: the two climb
-      the same hill, so only the better one goes on.
-    Both rules look only at the start's own search, so no search depends
-    on the others beside it. Returns, per search, every start's final
-    vector with its outcome probabilities and relative entropy (nats).
+    - when, after a step, its state overlaps a live start with a higher
+      value (on a tie, a lower index) by more than 1 - MERGE_OVERLAP_TOL,
+      the fold test of ``_compact``: the two climb the same hill, so only
+      the better one goes on.
+    Returns every start's final vector with its outcome probabilities and
+    relative entropy (nats).
     """
     dim = elements.shape[1]
-    starts = []
-    for rng, extra in zip(rngs, extra_inits):
-        v = rng.standard_normal((n_init, dim)) + 1j * rng.standard_normal((n_init, dim))
-        starts.append(np.concatenate([v, extra]))
-    sizes = np.array([len(s) for s in starts])
-    owner = np.repeat(np.arange(len(starts)), sizes)
-    vectors = _normalize_rows(np.concatenate(starts))
-    q_rows = q[owner]
+    v = rng.standard_normal((n_init, dim)) + 1j * rng.standard_normal((n_init, dim))
+    vectors = _normalize_rows(np.concatenate([v, extra]))
     probs = _channel_probs(vectors, elements)
-    lr = _log_ratio(probs[:, None, :], q_rows)[:, 0]
+    lr = _log_ratio(probs, q)
     vals = np.sum(probs * lr, axis=1)
     live = np.arange(len(vectors))
     for _ in range(PROBE_MAX_STEPS):
         trial = np.linalg.eigh(_weighted_elements(lr[live], elements))[1][:, :, -1]
         trial_probs = _channel_probs(trial, elements)
-        trial_lr = _log_ratio(trial_probs[:, None, :], q_rows[live])[:, 0]
+        trial_lr = _log_ratio(trial_probs, q)
         trial_vals = np.sum(trial_probs * trial_lr, axis=1)
         gain = trial_vals - vals[live]
         up = gain > 0.0
         moved = live[up]
         vectors[moved], probs[moved], lr[moved] = trial[up], trial_probs[up], trial_lr[up]
         vals[moved] = trial_vals[up]
-        live = _unmerged(live[gain >= 1e-12], owner, vectors, vals)
+        live = _unmerged(live[gain >= 1e-12], vectors, vals)
         if not live.size:
             break
-    bounds = np.cumsum(sizes)
-    return [(vectors[a - s:a], probs[a - s:a], vals[a - s:a]) for a, s in zip(bounds, sizes)]
+    return vectors, probs, vals
 
 
-def _unmerged(live: np.ndarray, owner: np.ndarray, vectors: np.ndarray,
-              vals: np.ndarray) -> np.ndarray:
+def _unmerged(live: np.ndarray, vectors: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """The sorted start indices ``live`` without each start that overlaps a
-    better start of its own search (``owner``) by more than
-    1 - MERGE_OVERLAP_TOL; of equal values the lower index is better."""
-    keep = []
-    for rows in np.split(live, np.flatnonzero(np.diff(owner[live])) + 1):
-        v, val = vectors[rows], vals[rows]
-        close = np.abs(v.conj() @ v.T) ** 2 > 1.0 - MERGE_OVERLAP_TOL
-        lower = np.arange(len(rows))
-        better = (val[None, :] > val[:, None]) | (
-            (val[None, :] == val[:, None]) & (lower[None, :] < lower[:, None]))
-        keep.append(rows[~np.any(close & better, axis=1)])
-    return np.concatenate(keep)
+    better one by more than 1 - MERGE_OVERLAP_TOL; of equal values the
+    lower index is better."""
+    v, val = vectors[live], vals[live]
+    close = np.abs(v.conj() @ v.T) ** 2 > 1.0 - MERGE_OVERLAP_TOL
+    better = (val[None, :] > val[:, None]) | (
+        (val[None, :] == val[:, None]) & (live[None, :] < live[:, None]))
+    return live[~np.any(close & better, axis=1)]
 
 
 @dataclass(frozen=True)
@@ -464,32 +414,25 @@ class _RestartOutcome:
     history: tuple[float, ...]
 
 
-def _run_restarts(
+def _run_restart(
     elements: np.ndarray,
     num_states: int,
     seed: int,
-    restart_indices: Iterable[int],
+    index: int,
     tol: float,
-) -> list[_RestartOutcome]:
-    """Seeded column-generation runs, one per restart index, advanced in
-    lockstep. Each is deterministic given (seed, restart_index) and does
-    not depend on which other restarts run beside it.
+) -> _RestartOutcome:
+    """One seeded column-generation run, deterministic given (seed, index).
 
-    A restart starts from ``num_states`` random states at a uniform prior
-    and repeats rounds of polish, compact, refit and probe until the probe
+    It starts from ``num_states`` random states at a uniform prior and
+    repeats rounds of polish, compact, refit and probe until the probe
     finds no pure state beating the rate by more than max(10*tol, 1e-9)
-    nats, or ``MAX_ROUNDS`` rounds have run. The running value is exactly
-    the mutual information of the current (vectors, priors) pair and does
-    not decrease beyond roundoff: the polish and the refit are monotone, a
+    nats, until no weight on the probe's best violator raises the rate, or
+    until ``MAX_ROUNDS`` rounds have run. The running value is exactly the
+    mutual information of the current (vectors, prior) pair and does not
+    decrease beyond roundoff: the polish and the refit are monotone, a
     violator joins only with a weight that raises the rate, and compaction
     drops members below ``PRUNE_TOL`` and folds copies that the polish has
     already driven together, which moves the rate at roundoff level.
-
-    Each round polishes the running restarts together, one call per
-    ensemble size, and probes them together; compaction, the refit and the
-    violator's weight run restart by restart. A restart leaves the
-    lockstep when it certifies, when no weight on its violator raises the
-    rate, or after the last round.
     """
     dim = elements.shape[1]
     # The refit leaves max_i D_i - I up to 0.1 * margin on the ensemble
@@ -498,65 +441,39 @@ def _run_restarts(
     margin = max(10.0 * tol, 1e-9)
     n_probe = max(16, 8 * dim)
     element_seeds = np.linalg.eigh(elements)[1][:, :, -1]
-    rngs, vectors, priors, histories = [], [], [], []
-    for k in restart_indices:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        v = rng.standard_normal((num_states, dim)) + 1j * rng.standard_normal((num_states, dim))
-        v = _normalize_rows(v)
-        prior = np.full(num_states, 1.0 / num_states)
-        rngs.append(rng)
-        vectors.append(v)
-        priors.append(prior)
-        histories.append([channel_mutual_information_nats(prior, _channel_probs(v, elements))])
-    values = [h[0] for h in histories]
-    rounds = [0] * len(rngs)
-    converged = [False] * len(rngs)
-    running = list(range(len(rngs)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    vectors = rng.standard_normal((num_states, dim)) + 1j * rng.standard_normal((num_states, dim))
+    vectors = _normalize_rows(vectors)
+    prior = np.full(num_states, 1.0 / num_states)
+    value = channel_mutual_information_nats(prior, _channel_probs(vectors, elements))
+    history = [value]
+    converged = False
     for round_ in range(1, MAX_ROUNDS + 1):
-        if not running:
+        vectors, prior, value = _polish(vectors, prior, elements)
+        history.append(value)
+        vectors, prior = _compact(vectors, prior)
+        probs = _channel_probs(vectors, elements)
+        prior, value = _refit(probs, prior, 0.1 * margin)
+        history.append(value)
+        cand_vectors, cand_probs, cand_vals = _max_relative_entropy_states(
+            prior @ probs, elements, rng, n_probe, np.concatenate([vectors, element_seeds]))
+        best = int(np.argmax(cand_vals))
+        if cand_vals[best] <= value + margin:
+            converged = True
             break
-        for size in sorted({len(vectors[i]) for i in running}):
-            group = [i for i in running if len(vectors[i]) == size]
-            v, r, rates = _polish(np.stack([vectors[i] for i in group]),
-                                  np.stack([priors[i] for i in group]), elements)
-            for i, vi, ri, rate in zip(group, v, r, rates):
-                vectors[i], priors[i], values[i] = vi, ri, float(rate)
-        probs = {}
-        for i in running:
-            rounds[i] = round_
-            histories[i].append(values[i])
-            vectors[i], priors[i] = _compact(vectors[i], priors[i])
-            probs[i] = _channel_probs(vectors[i], elements)
-            priors[i], values[i] = _refit(probs[i], priors[i], 0.1 * margin)
-            histories[i].append(values[i])
-        found = _max_relative_entropy_states(
-            np.stack([priors[i] @ probs[i] for i in running]), elements,
-            [rngs[i] for i in running], n_probe,
-            [np.concatenate([vectors[i], element_seeds]) for i in running],
-        )
-        still = []
-        for i, (cand_vectors, cand_probs, cand_vals) in zip(running, found):
-            best = int(np.argmax(cand_vals))
-            if cand_vals[best] <= values[i] + margin:
-                converged[i] = True
-                continue
-            joined = np.concatenate([probs[i], cand_probs[best][None, :]])
-            for beta in 0.5 ** np.arange(1, 41):
-                r = np.append((1.0 - beta) * priors[i], beta)
-                rate = channel_mutual_information_nats(r, joined)
-                if rate > values[i]:
-                    vectors[i] = np.concatenate([vectors[i], cand_vectors[best][None, :]])
-                    priors[i], values[i] = r, rate
-                    histories[i].append(rate)
-                    still.append(i)
-                    break
-            # else no weight on the violator raises the rate at double precision
-        running = still
-    return [
-        _RestartOutcome(value_nats=values[i], vectors=vectors[i], priors=priors[i],
-                        iterations=rounds[i], converged=converged[i], history=tuple(histories[i]))
-        for i in range(len(rngs))
-    ]
+        joined = np.concatenate([probs, cand_probs[best][None, :]])
+        for beta in 0.5 ** np.arange(1, 41):
+            r = np.append((1.0 - beta) * prior, beta)
+            rate = channel_mutual_information_nats(r, joined)
+            if rate > value:
+                vectors = np.concatenate([vectors, cand_vectors[best][None, :]])
+                prior, value = r, rate
+                history.append(rate)
+                break
+        else:
+            break  # no weight on the violator raises the rate at double precision
+    return _RestartOutcome(value_nats=value, vectors=vectors, priors=prior, iterations=round_,
+                           converged=converged, history=tuple(history))
 
 
 def _power_report(p: Povm, vectors: np.ndarray, prior: np.ndarray, base: LogBase, *,
@@ -584,35 +501,37 @@ def _power_report(p: Povm, vectors: np.ndarray, prior: np.ndarray, base: LogBase
 def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> PowerReport:
     """Generic multistart column-generation estimate of W(Pi).
 
-    The name is kept from the see-saw solver this replaced. Runs restart
-    0 alone; when it certifies, it is the answer. Otherwise the other
-    ``cfg.restarts - 1`` independently seeded restarts run in lockstep and
-    the best of all of them is kept. The kept restart's ensemble is
-    compacted, its prior refit to ``INNER_BA_TOL`` (the rounds stop at
-    0.1 * margin), and the report gives the recomputed mutual information
-    of the final ensemble. Restarts differ in their starting ensembles and
-    in the random starts of the violator search, the one non-convex step.
-    The result depends on (seed, restarts) alone. ``jobs`` is accepted for
-    compatibility and has no effect: the restarts share one process.
+    The name is kept from the see-saw solver this replaced. Runs restarts
+    0, 1, ... one at a time and stops at the first that certifies, after
+    at most ``cfg.restarts`` of them; the best of those that ran is kept.
+    Its ensemble is compacted, its prior refit to ``INNER_BA_TOL`` (the
+    rounds stop at 0.1 * margin), and the report gives the recomputed
+    mutual information of the final ensemble. Restarts differ in their
+    starting ensembles and in the random starts of the violator search,
+    the one non-convex step. The result depends on (seed, restarts) alone.
+    ``jobs`` is accepted for compatibility and has no effect.
 
-    ``converged`` reflects the winning restart: True when no pure state
-    beats the dual optimality bound at its output distribution by more
-    than the certificate margin (max(10*tol, 1e-9) nats), False when it
-    stopped before that certificate. ``iterations_used`` counts its
+    ``converged`` is True when some restart that ran certified: no pure
+    state beats the dual optimality bound at its output distribution by
+    more than the certificate margin (max(10*tol, 1e-9) nats), which
+    bounds W by that restart's rate plus the margin, and so by the kept
+    rate plus the margin. ``iterations_used`` counts the kept restart's
     column-generation rounds. ``per_restart_values`` holds the value of
-    every restart that ran: one entry when restart 0 certified, else
-    ``cfg.restarts``.
+    every restart that ran.
     """
     cfg = cfg or SolverConfig()
-    outcomes = _run_restarts(p.elements, p.dim ** 2, cfg.seed, [0], cfg.tol)
-    if not outcomes[0].converged and cfg.restarts > 1:
-        outcomes += _run_restarts(p.elements, p.dim ** 2, cfg.seed, range(1, cfg.restarts), cfg.tol)
+    outcomes = []
+    for k in range(cfg.restarts):
+        outcomes.append(_run_restart(p.elements, p.dim ** 2, cfg.seed, k, cfg.tol))
+        if outcomes[-1].converged:
+            break
     values = [o.value_nats for o in outcomes]
     best = outcomes[int(np.argmax(values))]
     vectors, prior = _compact(best.vectors, best.priors)
     prior, _ = _refit(_channel_probs(vectors, p.elements), prior, INNER_BA_TOL)
     vectors, prior = vectors[prior > 0], prior[prior > 0]
-    return _power_report(p, vectors, prior, cfg.base, converged=best.converged,
+    return _power_report(p, vectors, prior, cfg.base,
+                         converged=any(o.converged for o in outcomes),
                          iterations_used=best.iterations, fast_path_used=False,
                          per_restart_values=tuple(cfg.base.from_nats(v) for v in values))
 
@@ -660,7 +579,7 @@ def _symmetric_power(p: Povm, cfg: SolverConfig) -> PowerReport | None:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
     element_seeds = np.linalg.eigh(elements)[1][:, :, -1]
     vectors, _, vals = _max_relative_entropy_states(
-        q0[None], elements, [rng], max(64, 8 * dim * dim), [element_seeds])[0]
+        q0, elements, rng, max(64, 8 * dim * dim), element_seeds)
     best = float(vals.max())
     near = vals >= best - margin
     vectors, _ = _compact(vectors[near], np.full(np.count_nonzero(near), 1.0))

@@ -295,7 +295,7 @@ def test_certifies_random_povms_within_dual_bound(dim, outcomes, povm_seed, seed
 def test_restart_history_is_monotone():
     for povm in (trine_povm(), tetrahedral_sic_povm()):
         for k in range(4):
-            out = solver._run_restarts(povm.elements, 4, 0, [k], 1e-9)[0]
+            out = solver._run_restart(povm.elements, 4, 0, k, 1e-9)
             h = np.array(out.history)
             assert np.all(np.diff(h) >= -1e-12), "see-saw objective must not decrease"
 
@@ -304,7 +304,7 @@ def test_restart_value_is_soundly_recomputable():
     """Per-restart lower-bound soundness against an independent MI formula."""
     p = tetrahedral_sic_povm()
     for k in range(3):
-        out = solver._run_restarts(p.elements, 4, 0, [k], 1e-9)[0]
+        out = solver._run_restart(p.elements, 4, 0, k, 1e-9)
         independent = mi_bits_pure(out.priors, out.vectors, p.elements) * LN2
         assert out.value_nats == pytest.approx(independent, abs=1e-12)
 
@@ -312,27 +312,27 @@ def test_restart_value_is_soundly_recomputable():
 def test_polish_reports_the_rate_of_its_result():
     p = random_povm(3, 5, seed=1)
     vectors = random_pure_states(3, 9, seed=7)
-    v, r, rate = solver._polish(vectors[None], np.full((1, 9), 1 / 9), p.elements)
-    assert rate[0] == channel_mutual_information_nats(r[0], solver._channel_probs(v[0], p.elements))
+    v, r, rate = solver._polish(vectors, np.full(9, 1 / 9), p.elements)
+    assert rate == channel_mutual_information_nats(r, solver._channel_probs(v, p.elements))
 
 
 def test_polish_gradient_matches_central_differences():
-    """The gradient in u_i = sqrt(r_i) psi_i, for two rows of six members;
-    I does not change with the scale of u, so each row's gradient is
-    orthogonal to the row."""
+    """The gradient in u_i = sqrt(r_i) psi_i, at two points of six members;
+    I does not change with the scale of u, so the gradient is orthogonal
+    to the point."""
     p = random_povm(4, 8, seed=2)
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((2, 2 * 6 * 4))
-    _, g = solver._polish_fg(x, p.elements)
-    h = 1e-6
-    fd = np.empty_like(x)
-    for k in range(x.shape[1]):
-        e = np.zeros(x.shape[1])
-        e[k] = h
-        fd[:, k] = (solver._polish_fg(x + e, p.elements)[0]
-                    - solver._polish_fg(x - e, p.elements)[0]) / (2 * h)
-    assert np.max(np.abs(fd - g)) <= 1e-8
-    assert np.all(np.abs(np.sum(x * g, axis=1)) <= 1e-12)
+    for x in rng.standard_normal((2, 2 * 6 * 4)):
+        _, g = solver._polish_fg(x, p.elements)
+        h = 1e-6
+        fd = np.empty_like(x)
+        for k in range(len(x)):
+            e = np.zeros(len(x))
+            e[k] = h
+            fd[k] = (solver._polish_fg(x + e, p.elements)[0]
+                     - solver._polish_fg(x - e, p.elements)[0]) / (2 * h)
+        assert np.max(np.abs(fd - g)) <= 1e-8
+        assert abs(np.sum(x * g)) <= 1e-12
 
 
 def test_polish_takes_zero_priors():
@@ -344,17 +344,18 @@ def test_polish_takes_zero_priors():
         vectors = random_pure_states(3, 9, seed=seed)
         prior = np.array([1 / 6] * 6 + [0.0] * 3)
         start = channel_mutual_information_nats(prior, solver._channel_probs(vectors, p.elements))
-        v, r, rate = solver._polish(vectors[None], prior[None], p.elements)
+        v, r, rate = solver._polish(vectors, prior, p.elements)
         assert np.all(np.isfinite(v)) and np.all(np.isfinite(r))
-        assert np.allclose(np.linalg.norm(v[0], axis=1), 1.0, rtol=0.0, atol=1e-12)
-        assert rate[0] >= start
+        assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert rate >= start
 
 
 def test_first_polish_ends_well_before_its_cap(monkeypatch):
-    """The first lockstep polish of rand4x8 at the default 20 restarts
+    """The first polish of each of the default 20 restarts of rand4x8
     ends on its own, far below POLISH_MAX_ITER. A parametrization in
     which a member's curvature scales with its prior, such as softmax
-    prior logits, crawls here for 603 ticks, some rows up to the cap."""
+    prior logits, crawls here for up to 603 evaluations, some restarts up
+    to the cap."""
     ticks: list[int] = []
     ascent = solver._lbfgs_ascent
 
@@ -369,8 +370,12 @@ def test_first_polish_ends_well_before_its_cap(monkeypatch):
 
     monkeypatch.setattr(solver, "_lbfgs_ascent", counted)
     p = random_povm(4, 8, seed=2)
-    solver._run_restarts(p.elements, 16, 0, range(20), 1e-9)
-    assert ticks[0] <= 300
+    first = []
+    for k in range(20):
+        ticks.clear()
+        solver._run_restart(p.elements, 16, 0, k, 1e-9)
+        first.append(ticks[0])
+    assert max(first) <= 300
 
 
 def test_kernels_give_a_row_the_same_bits_alone_as_in_a_block():
@@ -405,52 +410,43 @@ def _assert_same_run(alone, together) -> None:
     [trine_povm(), tetrahedral_sic_povm(), random_povm(3, 5, seed=1), random_povm(4, 8, seed=2)],
     ids=["trine", "sic", "rand3x5", "rand4x8"],
 )
-def test_restart_does_not_depend_on_its_batch(povm):
-    """Restarts share numpy calls in lockstep; each must still be exactly
-    the run it would be alone, as (seed, restart_index) alone decide it."""
+def test_restart_does_not_depend_on_the_runs_before_it(povm):
+    """(seed, restart_index) alone decide a restart: run in reverse order,
+    each is exactly the run it is in order, and see_saw_power reports the
+    values of those runs."""
     m = povm.dim ** 2
-    batch = solver._run_restarts(povm.elements, m, 0, range(6), 1e-9)
-    for k in range(6):
-        _assert_same_run(solver._run_restarts(povm.elements, m, 0, [k], 1e-9)[0], batch[k])
+    in_order = [solver._run_restart(povm.elements, m, 0, k, 1e-9) for k in range(6)]
+    for k in reversed(range(6)):
+        _assert_same_run(solver._run_restart(povm.elements, m, 0, k, 1e-9), in_order[k])
+    values = see_saw_power(povm, SolverConfig(restarts=6)).per_restart_values
+    assert values == tuple(LogBase.BITS.from_nats(o.value_nats) for o in in_order[:len(values)])
 
 
-def test_restart_does_not_depend_on_the_default_batch():
-    """At the default 20 restarts the first polish of rand4x8 stacks 320
-    rows, past the row count at which the BLAS changes its kernel."""
-    p = random_povm(4, 8, seed=2)
-    batch = solver._run_restarts(p.elements, 16, 0, range(20), 1e-9)
-    for k in (0, 3, 9):
-        _assert_same_run(solver._run_restarts(p.elements, 16, 0, [k], 1e-9)[0], batch[k])
-
-
-def test_lbfgs_rows_stop_on_their_own():
-    """Rows of a separable concave quadratic with different conditioning
-    stop at different ticks; a stopped row is never evaluated or changed
-    again, and every row ends exactly where it ends when run alone."""
-    scales = np.array([[1.0, 1.0, 1.0], [1.0, 30.0, 1e3], [1.0, 1e3, 1e6]])
+def test_lbfgs_rows_stop_on_their_own(monkeypatch):
+    """One separable concave quadratic per row of conditionings: no step
+    the ascent takes lowers f, and it stops on its own before max_iter at
+    the maximum 0, within 1e-12."""
     centre = np.array([1.0, -2.0, 0.5])
-    ticks: list[np.ndarray] = []
+    direction = solver._lbfgs_direction
+    for a in np.array([[1.0, 1.0, 1.0], [1.0, 30.0, 1e3], [1.0, 1e3, 1e6]]):
+        evaluated = []
+        stepped = []  # f at the start and at every point stepped to
 
-    def fg(x):
-        # the last coordinate names the row's quadratic; its gradient is
-        # zero, so it never moves
-        rows = x[:, -1].astype(int)
-        ticks.append(rows)
-        a, dx = scales[rows], x[:, :-1] - centre
-        return -0.5 * np.sum(a * dx**2, axis=1), np.column_stack([-a * dx, np.zeros(len(x))])
+        def fg(x):
+            dx = x - centre
+            evaluated.append((-0.5 * np.sum(a * dx**2), -a * dx))
+            return evaluated[-1]
 
-    start = np.column_stack([np.zeros((3, 3)), np.arange(3.0)])
-    x, f = solver._lbfgs_ascent(fg, start, solver.POLISH_MAX_ITER)
-    last = [max(t for t, rows in enumerate(ticks) if r in rows) for r in range(3)]
-    assert len(set(last)) == 3, "the rows should stop at different ticks"
-    for r in range(3):
-        assert all(r in rows for rows in ticks[: last[r] + 1]), "a stopped row came back"
-    assert np.all(f > -1e-12) and np.all(f <= 0.0)
-    for r in range(3):
-        ticks.clear()
-        x_alone, f_alone = solver._lbfgs_ascent(fg, start[r : r + 1], solver.POLISH_MAX_ITER)
-        assert np.array_equal(x_alone[0], x[r]) and f_alone[0] == f[r]
-        assert len(ticks) == last[r] + 1
+        def recorded(g, pairs):
+            # the ascent takes a new direction only where it stands
+            stepped.append(next(f for f, h in evaluated if h is g))
+            return direction(g, pairs)
+
+        monkeypatch.setattr(solver, "_lbfgs_direction", recorded)
+        _, f = solver._lbfgs_ascent(fg, np.zeros(3), solver.POLISH_MAX_ITER)
+        assert np.all(np.diff(stepped) >= 0.0)
+        assert len(stepped) - 1 < solver.POLISH_MAX_ITER
+        assert stepped[-1] == f and -1e-12 < f <= 0.0
 
 
 def test_certified_restarts_sit_within_the_margin_of_the_best():
@@ -458,7 +454,7 @@ def test_certified_restarts_sit_within_the_margin_of_the_best():
     restart found; one stopped on another's probe would fall short."""
     p = random_povm(4, 8, seed=2)
     tol = 1e-9
-    outcomes = solver._run_restarts(p.elements, 16, 0, range(20), tol)
+    outcomes = [solver._run_restart(p.elements, 16, 0, k, tol) for k in range(20)]
     best = max(o.value_nats for o in outcomes)
     for o in outcomes:
         if o.converged:
@@ -467,20 +463,47 @@ def test_certified_restarts_sit_within_the_margin_of_the_best():
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["rand4x8", "sic2_one_round"])
 def test_other_restarts_run_only_when_restart_zero_does_not_certify(fallback, monkeypatch):
-    """Restart 0 runs alone, and when it certifies its value is the only
-    one reported. One round is too few for it to certify SIC(x)SIC; then
-    restarts 1..R-1 run as well, and the report is the best of all R."""
+    """The restarts stop at the first that certifies: on rand4x8 that is
+    restart 0, and its value is the only one reported. One round is too
+    few for any restart to certify SIC(x)SIC; then all R run, and the
+    report is the best of them."""
     if fallback:
         monkeypatch.setattr(solver, "MAX_ROUNDS", 1)
         p, restarts, ran = tensor_power(tetrahedral_sic_povm(), 2), 3, range(3)
     else:
         p, restarts, ran = random_povm(4, 8, seed=2), 4, [0]
     rep = see_saw_power(p, SolverConfig(restarts=restarts))
-    values = tuple(LogBase.BITS.from_nats(o.value_nats)
-                   for o in solver._run_restarts(p.elements, p.dim ** 2, 0, ran, 1e-9))
+    outcomes = [solver._run_restart(p.elements, p.dim ** 2, 0, k, 1e-9) for k in ran]
+    values = tuple(LogBase.BITS.from_nats(o.value_nats) for o in outcomes)
     assert rep.per_restart_values == values
     assert rep.converged is not fallback
     assert rep.w_estimate >= max(values)
+
+
+def test_a_certificate_from_any_restart_converges_the_report(monkeypatch):
+    """Restart 1 certifies below the rate restart 0 reached uncertified:
+    the restarts stop there, restart 0's ensemble is kept, and the report
+    is converged, since W is at most restart 1's rate plus the margin."""
+    p = tetrahedral_sic_povm()
+    ensembles = {0: anti_tetrahedral_ensemble(), 1: Ensemble.from_pure(
+        np.full(4, 0.25), random_pure_states(2, 4, seed=3))}
+    ran = []
+
+    def fake(elements, num_states, seed, index, tol):
+        ran.append(index)
+        e = ensembles[index]
+        vectors = np.stack([top_eigenvector(s) for s in e.states])
+        value = mi_bits_pure(e.priors, vectors, elements) * LN2
+        return solver._RestartOutcome(value_nats=value, vectors=vectors, priors=e.priors,
+                                      iterations=index + 1, converged=index == 1, history=(value,))
+
+    monkeypatch.setattr(solver, "_run_restart", fake)
+    rep = see_saw_power(p, SolverConfig(restarts=5))
+    assert ran == [0, 1]
+    assert rep.per_restart_values[0] > rep.per_restart_values[1]
+    assert rep.w_estimate == pytest.approx(SIC_W_BITS, abs=1e-12)
+    assert rep.converged
+    assert rep.iterations_used == 1
 
 
 def test_unitary_covariance_of_power():
@@ -591,7 +614,7 @@ def test_sic_probe_maxima_at_the_uniform_output_are_the_anti_aligned_states():
     p = tetrahedral_sic_povm()
     directions = np.linalg.eigh(p.elements)[1][:, :, -1]
     vectors, _, vals = solver._max_relative_entropy_states(
-        np.full((1, 4), 0.25), p.elements, [np.random.default_rng(0)], 64, [directions])[0]
+        np.full(4, 0.25), p.elements, np.random.default_rng(0), 64, directions)
     assert vals.max() == pytest.approx(np.log(4.0 / 3.0), abs=1e-12)
     near = vals >= vals.max() - 1e-8
     folded, _ = solver._compact(vectors[near], np.full(near.sum(), 1.0 / near.sum()))
@@ -610,29 +633,27 @@ class _Captured(Exception):
     "povm", [random_povm(4, 8, seed=2), random_povm(6, 12, seed=4)], ids=["rand4x8", "rand6x12"]
 )
 def test_probe_reaches_the_plain_climb(povm, monkeypatch):
-    """On the first probe of a seeded solve, the best value of each search
+    """On the first probe of each of three seeded restarts, the best value
     must come within 1e-10 nats of every start climbing PROBE_MAX_STEPS
     steps with no early exit."""
-    seen = {}
+    for k in range(3):
+        seen = {}
 
-    def capture(q, elements, rngs, n_init, extra_inits):
-        seen.update(q=q.copy(), rngs=[copy.deepcopy(r) for r in rngs], n_init=n_init,
-                    extra=[e.copy() for e in extra_inits])
-        raise _Captured
+        def capture(q, elements, rng, n_init, extra):
+            seen.update(q=q.copy(), rng=copy.deepcopy(rng), n_init=n_init, extra=extra.copy())
+            raise _Captured
 
-    with monkeypatch.context() as m:
-        m.setattr(solver, "_max_relative_entropy_states", capture)
-        with pytest.raises(_Captured):
-            solver._run_restarts(povm.elements, povm.dim ** 2, 0, range(3), 1e-9)
-    found = solver._max_relative_entropy_states(
-        seen["q"], povm.elements, [copy.deepcopy(r) for r in seen["rngs"]], seen["n_init"],
-        seen["extra"])
-    dim, n_init = povm.dim, seen["n_init"]
-    for k, (rng, extra) in enumerate(zip(seen["rngs"], seen["extra"])):
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_max_relative_entropy_states", capture)
+            with pytest.raises(_Captured):
+                solver._run_restart(povm.elements, povm.dim ** 2, 0, k, 1e-9)
+        _, _, vals = solver._max_relative_entropy_states(
+            seen["q"], povm.elements, copy.deepcopy(seen["rng"]), seen["n_init"], seen["extra"])
+        dim, n_init, rng = povm.dim, seen["n_init"], seen["rng"]
         z = rng.standard_normal((n_init, dim)) + 1j * rng.standard_normal((n_init, dim))
-        reference = reference_probe_values(seen["q"][k], povm.elements, np.concatenate([z, extra]),
+        reference = reference_probe_values(seen["q"], povm.elements, np.concatenate([z, seen["extra"]]),
                                            solver.PROBE_MAX_STEPS)
-        assert found[k][2].max() >= reference.max() - 1e-10
+        assert vals.max() >= reference.max() - 1e-10
 
 
 # ---------------------------------------------------------------------------
