@@ -149,8 +149,7 @@ def _ensemble_distance(a, b) -> float:
     kept = a.priors > ZERO_PRIOR_TOL
     if np.count_nonzero(kept) != len(b):
         return float("inf")
-    # per-matrix norms: with axis=(1, 2) numpy sums in another order, changing last bits
-    worst = max(np.linalg.norm(d) for d in a.states[kept] - b.states)
+    worst = np.linalg.norm(a.states[kept] - b.states, axis=(1, 2)).max()
     return float(max(np.abs(a.priors[kept] - b.priors).max(), worst))
 
 

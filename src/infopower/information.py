@@ -48,9 +48,9 @@ class Distribution:
         if not np.isfinite(p).all():
             raise ValueError("distribution contains non-finite entries")
         if (p < 0).any():
-            raise ValueError(f"negative probability {p.min()!r}")
+            raise ValueError(f"negative probability {float(p.min())!r}")
         if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1 within 1e-12")
+            raise ValueError(f"probabilities sum to {float(p.sum())!r}, not 1 within 1e-12")
         object.__setattr__(self, "probs", p)
 
     def __len__(self) -> int:
@@ -70,11 +70,11 @@ class ClassicalChannel:
         if not np.isfinite(p).all():
             raise ValueError("channel contains non-finite entries")
         if (p < 0).any():
-            raise ValueError(f"negative channel probability {p.min()!r}")
+            raise ValueError(f"negative channel probability {float(p.min())!r}")
         sums = p.sum(axis=1)
         if np.max(np.abs(sums - 1.0)) > 1e-10:
             worst = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValueError(f"channel row {worst} sums to {sums[worst]!r}, not 1 within 1e-10")
+            raise ValueError(f"channel row {worst} sums to {float(sums[worst])!r}, not 1 within 1e-10")
         object.__setattr__(self, "probs", p)
 
     @property
@@ -109,7 +109,8 @@ def outcome_probabilities(e: Ensemble, p: Povm) -> np.ndarray:
     slack = 1e-12 + _povm_slack(p)
     if probs.min() < -slack or probs.max() > 1.0 + slack:
         raise ValueError(
-            f"outcome probability outside [0,1] beyond slack: min {probs.min()!r}, max {probs.max()!r}"
+            f"outcome probability outside [0,1] beyond slack: min {float(probs.min())!r}, "
+            f"max {float(probs.max())!r}"
         )
     return np.clip(probs, 0.0, 1.0)
 
@@ -125,7 +126,7 @@ def joint_statistics(e: Ensemble, p: Povm) -> ClassicalChannel:
     slack = 1e-10 + _povm_slack(p)
     if np.max(np.abs(sums - 1.0)) > slack:
         worst = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValueError(f"row {worst} of Tr[rho Pi] sums to {sums[worst]!r}, not 1 within {slack:.1e}")
+        raise ValueError(f"row {worst} of Tr[rho Pi] sums to {float(sums[worst])!r}, not 1 within {slack:.1e}")
     return ClassicalChannel(probs / sums[:, None])
 
 
@@ -138,11 +139,9 @@ def shannon_entropy(d: Distribution | np.ndarray, base: LogBase = LogBase.BITS) 
 
 
 def _log_ratio(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """ln(p_ij / q_j) where both are positive, else 0; the one masking rule
-    of ``relative_entropy_rows``, the state gradient and the violator probe.
-    ``q`` has one axis fewer than ``probs`` and is broadcast as
-    ``q[..., None, :]``, so a stack of channels takes one q row each."""
-    q = q[..., None, :]
+    """ln(p_ij / q_j) for the channel ``probs`` (M, N) and the output row
+    ``q`` (N,) where both are positive, else 0; the one masking rule of
+    ``relative_entropy_rows``, the state gradient and the violator probe."""
     mask = (probs > _TINY) & (q > _TINY)
     return np.where(
         mask,

@@ -153,9 +153,9 @@ class Ensemble:
         if not np.isfinite(p).all():
             raise ValueError("ensemble priors contain non-finite entries")
         if (p < 0).any():
-            raise ValueError(f"negative prior {p.min()!r}")
+            raise ValueError(f"negative prior {float(p.min())!r}")
         if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"priors sum to {p.sum()!r}, not 1 within 1e-12")
+            raise ValueError(f"priors sum to {float(p.sum())!r}, not 1 within 1e-12")
         object.__setattr__(self, "priors", p)
         object.__setattr__(self, "states", states)
 

@@ -160,36 +160,13 @@ def _normalize_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b for 1-D ``a`` and ``b``, by einsum rather than the BLAS dot,
-    which sums in another order: the L-BFGS steps, and so the reports,
-    keep the bits they had when the ascent ran on stacked rows."""
-    return np.einsum("i,i", a, b)
-
-
-def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a 2-D ``a``, where no row's result depends on how many
-    rows share the call. numpy hands a one-row product to gemv, which sums
-    in another order than gemm, so a single row goes through doubled. The
-    BLAS also picks its gemm kernel by the size of the product, and the
-    kernels sum alike only when ``b`` is in C order with whole groups of 8
-    columns, so ``b`` goes in as such a copy, padded with zero columns."""
-    rows, cols = len(a), b.shape[1]
-    padded = np.zeros((b.shape[0], -(-cols // 8) * 8))
-    padded[:, :cols] = b
-    if rows == 1:
-        a = np.concatenate([a, a])
-    return (a @ padded)[:rows, :cols]
-
-
 def _channel_probs(vectors: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Outcome probabilities <psi_i|Pi_j|psi_i> for unit row vectors, as
     one real product of the rows of |psi_i><psi_i| against the elements."""
     n, dim, _ = elements.shape
     outer = np.ascontiguousarray(vectors.conj()[:, :, None] * vectors[:, None, :]).reshape(-1, dim * dim)
     layout = np.ascontiguousarray(elements.reshape(n, dim * dim).conj())
-    probs = _row_product(outer.view(float), layout.view(float).T)
-    return np.clip(probs, 0.0, 1.0)
+    return np.clip(outer.view(float) @ layout.view(float).T, 0.0, 1.0)
 
 
 def _weighted_elements(lr: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -197,7 +174,7 @@ def _weighted_elements(lr: np.ndarray, elements: np.ndarray) -> np.ndarray:
     against the elements flattened to (N, 2*D*D)."""
     n, dim, _ = elements.shape
     flat = np.ascontiguousarray(elements).reshape(n, dim * dim)
-    return _row_product(lr, flat.view(float)).view(complex).reshape(-1, dim, dim)
+    return (lr @ flat.view(float)).view(complex).reshape(-1, dim, dim)
 
 
 def _mi_gradient(vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray,
@@ -215,16 +192,16 @@ def _lbfgs_direction(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, fl
     newest curvature pairs (s, y, 1/s.y), oldest first. With no pairs the
     direction is g scaled down to at most unit length."""
     if not pairs:
-        return g / max(1.0, np.sqrt(np.sum(g * g)))
+        return g / max(1.0, np.sqrt(g @ g))
     d = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        alphas.append(rho * _dot(s, d))
+        alphas.append(rho * (s @ d))
         d -= alphas[-1] * y
     s, y, _ = pairs[-1]
-    d *= _dot(s, y) / _dot(y, y)
+    d *= (s @ y) / (y @ y)
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        d -= (rho * _dot(y, d) - alpha) * s
+        d -= (rho * (y @ d) - alpha) * s
     return d
 
 
@@ -246,7 +223,7 @@ def _lbfgs_ascent(
     f, g = fg(x)
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     d = _lbfgs_direction(g, pairs)
-    slope = _dot(g, d)
+    slope = g @ d
     for _ in range(max_iter):
         if slope <= 0.0:
             break
@@ -258,12 +235,12 @@ def _lbfgs_ascent(
         else:
             break
         s, y = x_new - x, g - g_new
-        sy = _dot(s, y)
+        sy = s @ y
         if sy > 0.0:
             pairs = [*pairs, (s, y, 1.0 / sy)][-LBFGS_MEMORY:]
         x, f, g = x_new, f_new, g_new
         d = _lbfgs_direction(g, pairs)
-        slope = _dot(g, d)
+        slope = g @ d
     return x, f
 
 
@@ -636,7 +613,7 @@ def _pure_vectors(e: Ensemble, tol: float = 1e-8) -> np.ndarray:
     mixed = w[:, -1] < 1.0 - tol
     if mixed.any():
         i = int(mixed.argmax())
-        raise ValueError(f"ensemble member {i} is mixed (top eigenvalue {w[i, -1]!r}); pure states required")
+        raise ValueError(f"ensemble member {i} is mixed (top eigenvalue {float(w[i, -1])!r}); pure states required")
     return v[:, :, -1]
 
 

@@ -314,6 +314,23 @@ def test_capacity_rejects_nonstochastic(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, doc, shown",
+    [
+        (["capacity"], {"kind": "channel", "probs": [[1.1, -0.1], [0.5, 0.5]]}, "-0.1"),
+        (["duality", "--direction", "to-povm"],
+         {"kind": "ensemble", "dim": 1, "priors": [0.45, 0.45], "states": [[[[1.0, 0.0]]]] * 2},
+         "0.9"),
+    ],
+)
+def test_rejected_values_print_as_plain_floats(tmp_path, capsys, argv, doc, shown):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == 1
+    assert shown in err and "np." not in err
+
+
 def test_capacity_nats(tmp_path, capsys):
     path = write_channel(tmp_path, "id.json", np.eye(2))
     code, out, _ = run_cli(capsys, "capacity", path, "--base", "nats")

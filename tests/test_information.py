@@ -6,7 +6,6 @@ from infopower import serialize
 from infopower.errors import DimensionMismatch
 from infopower.information import (
     LN2,
-    _log_ratio,
     BlahutArimotoResult,
     ClassicalChannel,
     Distribution,
@@ -114,20 +113,6 @@ def test_relative_entropy_rows_skips_zero_probabilities():
     d = relative_entropy_rows(probs, np.array([0.75, 0.25, 0.0]))
     assert d[0] == pytest.approx(0.5 * np.log(0.5 / 0.75) + 0.5 * np.log(0.5 / 0.25), abs=1e-15)
     assert d[1] == pytest.approx(np.log(1.0 / 0.75), abs=1e-15)
-
-
-def test_log_ratio_takes_one_q_row_per_stacked_channel():
-    # each channel of the stack is masked against its own q row, exactly
-    # as a 1-D q masks a single channel
-    probs = np.array([
-        [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5]],
-        [[0.0, 0.4, 0.6], [0.3, 0.3, 0.4], [0.0, 0.0, 1.0]],
-    ])
-    q = np.array([[0.75, 0.25, 0.0], [0.0, 0.5, 0.5]])
-    stacked = _log_ratio(probs, q)
-    assert stacked.shape == probs.shape
-    for k in range(2):
-        assert np.array_equal(stacked[k], _log_ratio(probs[k], q[k]))
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
