@@ -309,8 +309,8 @@ def blahut_arimoto(
     a Newton step or underflow of the update, can re-enter through the
     Newton step's active set.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     probs = ch.probs
     m = probs.shape[0]
     if initial_prior is None:

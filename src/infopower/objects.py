@@ -201,6 +201,8 @@ def validate_povm(p: Povm | np.ndarray | list, tol: float = 1e-8) -> ValidationR
     Hermiticity residuals ``|m - m†|_F``, PSD residuals ``max(0, -min
     eigenvalue)``, and the completeness residual ``|sum - I|_F``.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
     e = p.elements if isinstance(p, Povm) else np.asarray(p, dtype=complex)
     if e.ndim != 3 or e.shape[1] != e.shape[2] or e.shape[0] < 1:
         raise ValueError(f"expected a stack of square matrices, got shape {e.shape}")

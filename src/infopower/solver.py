@@ -45,6 +45,7 @@ from .errors import NotCommuting
 from .information import (
     _TINY,
     _log_ratio,
+    LN2,
     LogBase,
     blahut_arimoto,
     channel_mutual_information_nats,
@@ -84,8 +85,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -326,7 +327,7 @@ def _max_relative_entropy_states(
     elements: np.ndarray,
     rng: np.random.Generator,
     n_init: int,
-    extra: np.ndarray,
+    extra: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Search for pure states maximizing D(P(.|psi) || q), q held fixed.
 
@@ -335,9 +336,11 @@ def _max_relative_entropy_states(
     gradient there is H plus the identity, so the jump maximizes a lower
     bound that is tight at the current state and never lowers D; it needs
     no step size. A start keeps its state when a jump would not raise D
-    (outcomes with p_j = 0 are left out of H). The search draws ``n_init``
-    random starts from ``rng``, and the rows of ``extra`` (e.g. the
-    current ensemble) climb alongside them. The starts step together, for
+    (outcomes with p_j = 0 are left out of H). The starts are, in order,
+    ``n_init`` random states drawn from ``rng``, the rows of ``extra``
+    (e.g. the current ensemble) and the top eigenvector of each element;
+    without the last, random starts alone can miss a violator and let a
+    rate below W certify. The starts step together, for
     at most PROBE_MAX_STEPS steps, and each start leaves on its own:
     - when its jump gains less than 1e-12 nats (a positive gain is kept);
     - when, after a step, its state overlaps a live start with a higher
@@ -349,7 +352,8 @@ def _max_relative_entropy_states(
     """
     dim = elements.shape[1]
     v = rng.standard_normal((n_init, dim)) + 1j * rng.standard_normal((n_init, dim))
-    vectors = _normalize_rows(np.concatenate([v, extra]))
+    tops = np.linalg.eigh(elements)[1][:, :, -1]
+    vectors = _normalize_rows(np.concatenate([v, tops] if extra is None else [v, extra, tops]))
     probs = _channel_probs(vectors, elements)
     lr = _log_ratio(probs, q)
     vals = np.sum(probs * lr, axis=1)
@@ -388,20 +392,13 @@ class _RestartOutcome:
     priors: np.ndarray
     iterations: int
     converged: bool
-    history: tuple[float, ...]
 
 
-def _run_restart(
-    elements: np.ndarray,
-    num_states: int,
-    seed: int,
-    index: int,
-    tol: float,
-) -> _RestartOutcome:
+def _run_restart(elements: np.ndarray, seed: int, index: int, tol: float) -> _RestartOutcome:
     """One seeded column-generation run, deterministic given (seed, index).
 
-    It starts from ``num_states`` random states at a uniform prior and
-    repeats rounds of polish, compact, refit and probe until the probe
+    It starts from D^2 random states (the Davies bound) at a uniform prior
+    and repeats rounds of polish, compact, refit and probe until the probe
     finds no pure state beating the rate by more than max(10*tol, 1e-9)
     nats, until no weight on the probe's best violator raises the rate, or
     until ``MAX_ROUNDS`` rounds have run. The running value is exactly the
@@ -409,7 +406,8 @@ def _run_restart(
     decrease beyond roundoff: the polish and the refit are monotone, a
     violator joins only with a weight that raises the rate, and compaction
     drops members below ``PRUNE_TOL`` and folds copies that the polish has
-    already driven together, which moves the rate at roundoff level.
+    already driven together, which moves the rate at roundoff level. Each
+    probe starts from the current ensemble besides its random starts.
     """
     dim = elements.shape[1]
     # The refit leaves max_i D_i - I up to 0.1 * margin on the ensemble
@@ -417,23 +415,18 @@ def _run_restart(
     # violator.
     margin = max(10.0 * tol, 1e-9)
     n_probe = max(16, 8 * dim)
-    element_seeds = np.linalg.eigh(elements)[1][:, :, -1]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    vectors = rng.standard_normal((num_states, dim)) + 1j * rng.standard_normal((num_states, dim))
-    vectors = _normalize_rows(vectors)
-    prior = np.full(num_states, 1.0 / num_states)
-    value = channel_mutual_information_nats(prior, _channel_probs(vectors, elements))
-    history = [value]
+    m = dim * dim
+    vectors = _normalize_rows(rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim)))
+    prior = np.full(m, 1.0 / m)
     converged = False
     for round_ in range(1, MAX_ROUNDS + 1):
         vectors, prior, value = _polish(vectors, prior, elements)
-        history.append(value)
         vectors, prior = _compact(vectors, prior)
         probs = _channel_probs(vectors, elements)
         prior, value = _refit(probs, prior, 0.1 * margin)
-        history.append(value)
         cand_vectors, cand_probs, cand_vals = _max_relative_entropy_states(
-            prior @ probs, elements, rng, n_probe, np.concatenate([vectors, element_seeds]))
+            prior @ probs, elements, rng, n_probe, vectors)
         best = int(np.argmax(cand_vals))
         if cand_vals[best] <= value + margin:
             converged = True
@@ -445,20 +438,21 @@ def _run_restart(
             if rate > value:
                 vectors = np.concatenate([vectors, cand_vectors[best][None, :]])
                 prior, value = r, rate
-                history.append(rate)
                 break
         else:
             break  # no weight on the violator raises the rate at double precision
     return _RestartOutcome(value_nats=value, vectors=vectors, priors=prior, iterations=round_,
-                           converged=converged, history=tuple(history))
+                           converged=converged)
 
 
 def _power_report(p: Povm, vectors: np.ndarray, prior: np.ndarray, base: LogBase, *,
                   converged: bool, iterations_used: int, fast_path_used: bool,
                   per_restart_values: tuple[float, ...] | None = None) -> PowerReport:
-    """The report on the pure-state ensemble ``(vectors, prior)``, built here
-    for both solver paths. W is recomputed from the ensemble itself, and
+    """The report on the members of the pure-state ensemble
+    ``(vectors, prior)`` with a positive prior, built here for all three
+    solver paths. W is recomputed from that ensemble, and
     ``per_restart_values`` defaults to that W."""
+    vectors, prior = vectors[prior > 0], prior[prior > 0]
     ensemble = Ensemble.from_pure(prior, vectors)
     w = mutual_information(ensemble, p, base)
     m_eff = vectors.shape[0]
@@ -475,7 +469,7 @@ def _power_report(p: Povm, vectors: np.ndarray, prior: np.ndarray, base: LogBase
     )
 
 
-def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> PowerReport:
+def see_saw_power(p: Povm, cfg: SolverConfig | None = None) -> PowerReport:
     """Generic multistart column-generation estimate of W(Pi).
 
     The name is kept from the see-saw solver this replaced. Runs restarts
@@ -483,10 +477,10 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> Po
     at most ``cfg.restarts`` of them; the best of those that ran is kept.
     Its ensemble is compacted, its prior refit to ``INNER_BA_TOL`` (the
     rounds stop at 0.1 * margin), and the report gives the recomputed
-    mutual information of the final ensemble. Restarts differ in their
-    starting ensembles and in the random starts of the violator search,
-    the one non-convex step. The result depends on (seed, restarts) alone.
-    ``jobs`` is accepted for compatibility and has no effect.
+    mutual information of the members the refit keeps. Restarts differ in
+    their starting ensembles and in the random starts of the violator
+    search, the one non-convex step. The result depends on (seed,
+    restarts) alone.
 
     ``converged`` is True when some restart that ran certified: no pure
     state beats the dual optimality bound at its output distribution by
@@ -499,14 +493,13 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> Po
     cfg = cfg or SolverConfig()
     outcomes = []
     for k in range(cfg.restarts):
-        outcomes.append(_run_restart(p.elements, p.dim ** 2, cfg.seed, k, cfg.tol))
+        outcomes.append(_run_restart(p.elements, cfg.seed, k, cfg.tol))
         if outcomes[-1].converged:
             break
     values = [o.value_nats for o in outcomes]
     best = outcomes[int(np.argmax(values))]
     vectors, prior = _compact(best.vectors, best.priors)
     prior, _ = _refit(_channel_probs(vectors, p.elements), prior, INNER_BA_TOL)
-    vectors, prior = vectors[prior > 0], prior[prior > 0]
     return _power_report(p, vectors, prior, cfg.base,
                          converged=any(o.converged for o in outcomes),
                          iterations_used=best.iterations, fast_path_used=False,
@@ -527,9 +520,7 @@ def commuting_fast_path(p: Povm, tol: float = 1e-12, base: LogBase = LogBase.BIT
     """
     basis = linalg.simultaneous_eigenbasis(p.elements)
     res = blahut_arimoto(_stochastic(_channel_probs(basis.T, p.elements)), tol=tol, base=base)
-    prior = res.optimal_prior.probs
-    support = prior > 0
-    return _power_report(p, basis.T[support], prior[support], base, converged=res.converged,
+    return _power_report(p, basis.T, res.optimal_prior.probs, base, converged=res.converged,
                          iterations_used=res.iterations, fast_path_used=True)
 
 
@@ -554,9 +545,7 @@ def _symmetric_power(p: Povm, cfg: SolverConfig) -> PowerReport | None:
     q0 = np.trace(elements, axis1=1, axis2=2).real / dim
     # The root of the seed's sequence: restart k draws from its child (k,).
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
-    element_seeds = np.linalg.eigh(elements)[1][:, :, -1]
-    vectors, _, vals = _max_relative_entropy_states(
-        q0, elements, rng, max(64, 8 * dim * dim), element_seeds)
+    vectors, _, vals = _max_relative_entropy_states(q0, elements, rng, max(64, 8 * dim * dim))
     best = float(vals.max())
     near = vals >= best - margin
     vectors, _ = _compact(vectors[near], np.full(np.count_nonzero(near), 1.0))
@@ -564,8 +553,8 @@ def _symmetric_power(p: Povm, cfg: SolverConfig) -> PowerReport | None:
     r, rate = _refit(_channel_probs(vectors, elements), np.full(m, 1.0 / m), 0.1 * margin)
     if best - rate > margin:
         return None
-    return _power_report(p, vectors[r > 0], r[r > 0], cfg.base, converged=True,
-                         iterations_used=1, fast_path_used=False)
+    return _power_report(p, vectors, r, cfg.base, converged=True, iterations_used=1,
+                         fast_path_used=False)
 
 
 def informational_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1) -> PowerReport:
@@ -580,14 +569,17 @@ def informational_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1)
     (``_symmetric_power``); when that fails, the multistart generic solver
     runs. A commuting POVM whose combination happens to be nearly
     degenerate also lands past the fast path and is solved more slowly,
-    under one of the other two certificates. ``jobs`` is accepted for
-    compatibility and has no effect, as in ``see_saw_power``.
+    under one of the other two certificates. The fast path stops at
+    min(INNER_BA_TOL, cfg.tol) bits whatever ``cfg.base``, so a report in
+    nats is the report in bits converted. ``jobs`` is accepted for
+    compatibility and has no effect.
     """
     cfg = cfg or SolverConfig()
+    unit_per_bit = LN2 if cfg.base is LogBase.NATS else 1.0
     try:
-        return commuting_fast_path(p, tol=min(INNER_BA_TOL, cfg.tol), base=cfg.base)
+        return commuting_fast_path(p, tol=min(INNER_BA_TOL, cfg.tol) * unit_per_bit, base=cfg.base)
     except NotCommuting:
-        return _symmetric_power(p, cfg) or see_saw_power(p, cfg, jobs=jobs)
+        return _symmetric_power(p, cfg) or see_saw_power(p, cfg)
 
 
 def state_gradient(e: Ensemble, p: Povm) -> list[np.ndarray]:

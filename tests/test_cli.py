@@ -374,6 +374,19 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, text):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["solve", "capacity", "validate"])
+def test_non_finite_tol_exits_1(tmp_path, capsys, command, tol):
+    if command == "capacity":
+        argv = [command, write_channel(tmp_path, "ch.json", np.eye(2))]
+    else:
+        argv = [command, "--example", "sic"]
+    code, out, err = run_cli(capsys, *argv, "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: tol ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # one parser serves every call in a process
 

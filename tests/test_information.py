@@ -279,8 +279,9 @@ def test_ba_warm_start_freezes_zero_support():
 
 def test_ba_rejects_bad_inputs():
     ch = ClassicalChannel(np.array([[0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        blahut_arimoto(ch, tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            blahut_arimoto(ch, tol=tol)
     with pytest.raises(ValueError):
         blahut_arimoto(ch, initial_prior=np.array([0.5, 0.5]))
 

@@ -103,6 +103,12 @@ def test_validate_povm_accepts_raw_stack():
     assert rep.passed
 
 
+def test_validate_povm_rejects_a_negative_or_non_finite_tol():
+    for tol in (-1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            validate_povm(tetrahedral_sic_povm(), tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # ensembles
 
