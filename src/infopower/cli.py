@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=SolverConfig.restarts,
                    help="at most R restarts, run one at a time; none runs after the first that certifies")
     p.add_argument("--tol", type=float, default=SolverConfig.tol,
-                   help="certificate margin is max(10*tol, 1e-9) nats")
+                   help="certificate margin is max(10*tol, 1e-9) nats; "
+                        "commuting POVMs stop at min(1e-12, tol) bits")
     p.add_argument("--seed", type=int, default=None, help="fallback: INFOPOWER_SEED, then 0")
     p.add_argument("--base", choices=[b.value for b in LogBase], default=SolverConfig.base.value)
     p.add_argument("--out", help="write the full report to this path")

@@ -70,6 +70,8 @@ class SolverConfig:
 
     ``tol`` sets the certificate margin max(10*tol, 1e-9) nats: a restart
     is certified when no pure state beats its rate by more than that.
+    The commuting fast path reads it in bits instead: it stops at
+    min(1e-12, tol) bits in either ``base``.
     ``restarts`` is an upper bound: the restarts run one at a time and
     stop at the first that certifies. Each restart starts from D^2 random
     pure states (the Davies bound), runs at most ``MAX_ROUNDS``

@@ -653,7 +653,7 @@ def test_sic_probe_maxima_at_the_uniform_output_are_the_anti_aligned_states():
     p = tetrahedral_sic_povm()
     directions = np.linalg.eigh(p.elements)[1][:, :, -1]
     vectors, _, vals = solver._max_relative_entropy_states(
-        np.full(4, 0.25), p.elements, np.random.default_rng(0), 64, directions)
+        np.full(4, 0.25), p.elements, np.random.default_rng(0), 64)
     assert vals.max() == pytest.approx(np.log(4.0 / 3.0), abs=1e-12)
     near = vals >= vals.max() - 1e-8
     folded, _ = solver._compact(vectors[near], np.full(near.sum(), 1.0 / near.sum()))
@@ -690,7 +690,8 @@ def test_probe_reaches_the_plain_climb(povm, monkeypatch):
             seen["q"], povm.elements, copy.deepcopy(seen["rng"]), seen["n_init"], seen["extra"])
         dim, n_init, rng = povm.dim, seen["n_init"], seen["rng"]
         z = rng.standard_normal((n_init, dim)) + 1j * rng.standard_normal((n_init, dim))
-        reference = reference_probe_values(seen["q"], povm.elements, np.concatenate([z, seen["extra"]]),
+        tops = np.linalg.eigh(povm.elements)[1][:, :, -1]
+        reference = reference_probe_values(seen["q"], povm.elements, np.concatenate([z, seen["extra"], tops]),
                                            solver.PROBE_MAX_STEPS)
         assert vals.max() >= reference.max() - 1e-10
 
