@@ -13,9 +13,11 @@ keeps a finite ensemble of pure states and repeats one round:
 2. compact: drop negligible-prior members and fold duplicates;
 3. refit: one warm-started, capped Blahut-Arimoto run on the prior;
 4. probe: search for a pure state whose relative entropy to the output
-   distribution q beats the rate. When none does by more than a small
-   margin, the dual bound certifies the rate; otherwise the best violator
-   joins the ensemble with a weight that raises the rate.
+   distribution q beats the rate, by jumps to the top eigenvector of the
+   gradient, each also tried extrapolated past the jump. When none does
+   by more than a small margin, the dual bound certifies the rate;
+   otherwise the best violator joins the ensemble with a weight that
+   raises the rate.
 
 The dual bound certifies a rate whichever restart produced it, so the
 restarts run one at a time and stop at the first that certifies; the
@@ -336,15 +338,24 @@ def _max_relative_entropy_states(
     Every start repeatedly jumps to the top eigenvector of
     H = sum_j ln(p_j / q_j) Pi_j. D is convex in |psi><psi| and its
     gradient there is H plus the identity, so the jump maximizes a lower
-    bound that is tight at the current state and never lowers D; it needs
-    no step size. A start keeps its state when a jump would not raise D
-    (outcomes with p_j = 0 are left out of H). The starts are, in order,
+    bound that is tight at the current state and never lowers D
+    (outcomes with p_j = 0 are left out of H). Near a maximum the jumps
+    converge linearly, so each step also scores the extrapolated point
+    normalize(jump + beta (jump - psi)), with the jump phase-aligned to
+    psi, and the start moves to the better of the two. Where the start's
+    last two accepted gains shrink, 0 < g1 < g0, beta = rho / (1 - rho)
+    with rho = sqrt(g1 / g0), Aitken's (1926) estimate of the remaining
+    distance for a linear rate rho (a gain is quadratic in the distance);
+    elsewhere beta = 1, a doubled jump. A start keeps its state when
+    neither point would raise D. The starts are, in order,
     ``n_init`` random states drawn from ``rng``, the rows of ``extra``
     (e.g. the current ensemble) and the top eigenvector of each element;
     without the last, random starts alone can miss a violator and let a
     rate below W certify. The starts step together, for
     at most PROBE_MAX_STEPS steps, and each start leaves on its own:
-    - when its jump gains less than 1e-12 nats (a positive gain is kept);
+    - when its step gains less than 1e-12 nats (a positive gain is kept);
+      the kept point is never below the plain jump, so this happens only
+      once the jump alone gains less than that;
     - when, after a step, its state overlaps a live start with a higher
       value (on a tie, a lower index) by more than 1 - MERGE_OVERLAP_TOL,
       the fold test of ``_compact``: the two climb the same hill, so only
@@ -360,16 +371,28 @@ def _max_relative_entropy_states(
     lr = _log_ratio(probs, q)
     vals = np.sum(probs * lr, axis=1)
     live = np.arange(len(vectors))
+    gains = np.zeros((len(vectors), 2))  # each start's last two accepted gains, older first
     for _ in range(PROBE_MAX_STEPS):
-        trial = np.linalg.eigh(_weighted_elements(lr[live], elements))[1][:, :, -1]
+        cur = vectors[live]
+        jump = np.linalg.eigh(_weighted_elements(lr[live], elements))[1][:, :, -1]
+        jump *= np.exp(-1j * np.angle(np.sum(cur.conj() * jump, axis=1)))[:, None]
+        g0, g1 = gains[live].T
+        shrinking = (0.0 < g1) & (g1 < g0)
+        rho = np.sqrt(np.divide(g1, g0, out=np.zeros_like(g1), where=shrinking))
+        beta = np.divide(rho, 1.0 - rho, out=np.ones_like(rho), where=shrinking)
+        trial = np.concatenate([jump, _normalize_rows(jump + beta[:, None] * (jump - cur))])
         trial_probs = _channel_probs(trial, elements)
         trial_lr = _log_ratio(trial_probs, q)
         trial_vals = np.sum(trial_probs * trial_lr, axis=1)
-        gain = trial_vals - vals[live]
+        n = live.size
+        pick = np.arange(n) + n * (trial_vals[n:] > trial_vals[:n])  # the better of jump and extrapolation
+        gain = trial_vals[pick] - vals[live]
         up = gain > 0.0
-        moved = live[up]
-        vectors[moved], probs[moved], lr[moved] = trial[up], trial_probs[up], trial_lr[up]
-        vals[moved] = trial_vals[up]
+        moved, kept = live[up], pick[up]
+        vectors[moved], probs[moved], lr[moved] = trial[kept], trial_probs[kept], trial_lr[kept]
+        vals[moved] = trial_vals[kept]
+        gains[moved, 0] = gains[moved, 1]
+        gains[moved, 1] = gain[up]
         live = _unmerged(live[gain >= 1e-12], vectors, vals)
         if not live.size:
             break
@@ -382,6 +405,8 @@ def _unmerged(live: np.ndarray, vectors: np.ndarray, vals: np.ndarray) -> np.nda
     lower index is better."""
     v, val = vectors[live], vals[live]
     close = np.abs(v.conj() @ v.T) ** 2 > 1.0 - MERGE_OVERLAP_TOL
+    if np.count_nonzero(close) == live.size:  # only the diagonal: no start is near another
+        return live
     better = (val[None, :] > val[:, None]) | (
         (val[None, :] == val[:, None]) & (live[None, :] < live[:, None]))
     return live[~np.any(close & better, axis=1)]
@@ -549,8 +574,10 @@ def _symmetric_power(p: Povm, cfg: SolverConfig) -> PowerReport | None:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
     vectors, _, vals = _max_relative_entropy_states(q0, elements, rng, max(64, 8 * dim * dim))
     best = float(vals.max())
-    near = vals >= best - margin
-    vectors, _ = _compact(vectors[near], np.full(np.count_nonzero(near), 1.0))
+    # Best first, so that _compact folds each state into its best copy.
+    near = np.flatnonzero(vals >= best - margin)
+    near = near[np.argsort(-vals[near], kind="stable")]
+    vectors, _ = _compact(vectors[near], np.full(near.size, 1.0))
     m = len(vectors)
     r, rate = _refit(_channel_probs(vectors, elements), np.full(m, 1.0 / m), 0.1 * margin)
     if best - rate > margin:

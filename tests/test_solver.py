@@ -638,6 +638,45 @@ def test_symmetric_path_agrees_with_the_generic_solver_on_rotated_covariant_povm
     assert sym.w_estimate == pytest.approx(see_saw_power(p, cfg).w_estimate, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", sorted(COVARIANT))
+def test_symmetric_reports_of_rotated_covariant_povms_hit_the_closed_form(name):
+    base = COVARIANT[name]()
+    exact = {"sic": SIC_W_BITS, "trine": TRINE_W_BITS, "hesse": HESSE_W_BITS}[name]
+    for seed in range(25):
+        u = random_unitary(base.dim, np.random.default_rng(seed))
+        rep = solver._symmetric_power(Povm(u @ base.elements @ u.conj().T), SolverConfig(seed=seed))
+        assert rep is not None and _is_symmetric_report(rep), seed
+        assert rep.w_estimate == pytest.approx(exact, abs=1e-12), seed
+
+
+def test_symmetric_fold_keeps_the_best_copy_of_each_maximum(monkeypatch):
+    """A probe maximum can come back twice: once exact and, at a lower
+    index, once stopped a little below it, still within the margin and
+    within the fold overlap. The fold must keep the exact copy."""
+    p = tetrahedral_sic_povm()
+    q0 = np.full(4, 0.25)
+    anti = np.linalg.eigh(p.elements)[1][:, :, 0]
+
+    def values(vectors):
+        probs = solver._channel_probs(vectors, p.elements)
+        return probs, np.sum(probs * solver._log_ratio(probs, q0), axis=1)
+
+    # D falls quadratically away from a maximum: scale the step to a 5e-9 nat loss
+    step = anti[1] - (anti[0].conj() @ anti[1]) * anti[0]
+    step /= np.linalg.norm(step)
+    drop = values(anti[:1])[1][0] - values(solver._normalize_rows(anti[:1] + 1e-4 * step))[1][0]
+    below = solver._normalize_rows(anti[:1] + 1e-4 * np.sqrt(5e-9 / drop) * step)
+    vectors = np.concatenate([below, anti])
+    probs, vals = values(vectors)
+    assert 4e-9 < vals.max() - vals[0] < 6e-9
+    assert np.abs(below[0].conj() @ anti[0]) ** 2 > 1.0 - solver.MERGE_OVERLAP_TOL
+
+    monkeypatch.setattr(solver, "_max_relative_entropy_states", lambda *args: (vectors, probs, vals))
+    rep = solver._symmetric_power(p, SolverConfig())
+    assert rep is not None and _is_symmetric_report(rep)
+    assert rep.w_estimate == pytest.approx(SIC_W_BITS, abs=1e-12)
+
+
 @pytest.mark.parametrize("dim, outcomes, povm_seed", [(3, 5, 1), (4, 8, 2), (4, 5, 4052)])
 def test_symmetric_path_falls_through_on_random_povms(dim, outcomes, povm_seed):
     p = random_povm(dim, outcomes, seed=povm_seed)
@@ -672,27 +711,29 @@ class _Captured(Exception):
     "povm", [random_povm(4, 8, seed=2), random_povm(6, 12, seed=4)], ids=["rand4x8", "rand6x12"]
 )
 def test_probe_reaches_the_plain_climb(povm, monkeypatch):
-    """On the first probe of each of three seeded restarts, the best value
-    must come within 1e-10 nats of every start climbing PROBE_MAX_STEPS
-    steps with no early exit."""
-    for k in range(3):
+    """On the symmetric path's probe at q0 and on the first probe of each
+    of three seeded restarts, the best value must come within 1e-10 nats
+    of every start climbing PROBE_MAX_STEPS steps with no early exit."""
+    runs = [lambda: solver._symmetric_power(povm, SolverConfig())]
+    runs += [lambda k=k: solver._run_restart(povm.elements, 0, k, 1e-9) for k in range(3)]
+    for run in runs:
         seen = {}
 
-        def capture(q, elements, rng, n_init, extra):
-            seen.update(q=q.copy(), rng=copy.deepcopy(rng), n_init=n_init, extra=extra.copy())
+        def capture(q, elements, rng, n_init, extra=None):
+            seen.update(q=q.copy(), rng=copy.deepcopy(rng), n_init=n_init,
+                        extra=None if extra is None else extra.copy())
             raise _Captured
 
         with monkeypatch.context() as m:
             m.setattr(solver, "_max_relative_entropy_states", capture)
             with pytest.raises(_Captured):
-                solver._run_restart(povm.elements, 0, k, 1e-9)
-        _, _, vals = solver._max_relative_entropy_states(
-            seen["q"], povm.elements, copy.deepcopy(seen["rng"]), seen["n_init"], seen["extra"])
-        dim, n_init, rng = povm.dim, seen["n_init"], seen["rng"]
-        z = rng.standard_normal((n_init, dim)) + 1j * rng.standard_normal((n_init, dim))
+                run()
+        q, n_init, extra, rng = seen["q"], seen["n_init"], seen["extra"], seen["rng"]
+        _, _, vals = solver._max_relative_entropy_states(q, povm.elements, copy.deepcopy(rng), n_init, extra)
+        z = rng.standard_normal((n_init, povm.dim)) + 1j * rng.standard_normal((n_init, povm.dim))
         tops = np.linalg.eigh(povm.elements)[1][:, :, -1]
-        reference = reference_probe_values(seen["q"], povm.elements, np.concatenate([z, seen["extra"], tops]),
-                                           solver.PROBE_MAX_STEPS)
+        starts = [z, tops] if extra is None else [z, extra, tops]
+        reference = reference_probe_values(q, povm.elements, np.concatenate(starts), solver.PROBE_MAX_STEPS)
         assert vals.max() >= reference.max() - 1e-10
 
 
