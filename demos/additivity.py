@@ -10,7 +10,7 @@ maximally mixed output.
 Run:  python3 demos/additivity.py
 """
 
-from infopower import SolverConfig, additivity_check, tetrahedral_sic_povm
+from infopower import additivity_check, tetrahedral_sic_povm
 from infopower.objects import standard_projective_povm
 
 print("projective(2) (x) projective(3): commuting, exact")
@@ -20,11 +20,7 @@ print(f"  W(Pi1 (x) Pi2) = {rep.w12:.12f}   gap = {rep.gap:.3e} bits")
 
 print()
 print("SIC (x) SIC: non-commuting, symmetric certificate in D = 4")
-rep = additivity_check(
-    tetrahedral_sic_povm(),
-    tetrahedral_sic_povm(),
-    SolverConfig(restarts=12, seed=0),
-)
+rep = additivity_check(tetrahedral_sic_povm(), tetrahedral_sic_povm())
 print(f"  W(SIC)           = {rep.w1:.12f} bits")
 print(f"  2 * W(SIC)       = {2 * rep.w1:.12f} bits")
 print(f"  W(SIC (x) SIC)   = {rep.w12:.12f} bits")

@@ -25,7 +25,7 @@ weights /= weights.sum(axis=0)
 povm = Povm(np.stack([(basis * w) @ basis.conj().T for w in weights]))
 
 fast = commuting_fast_path(povm)
-slow = see_saw_power(povm, SolverConfig(restarts=6, seed=1))
+slow = see_saw_power(povm, SolverConfig(seed=1))
 
 print(f"random commuting POVM, D = {dim}, {outcomes} outcomes")
 print(f"  max commutator norm = {povm.max_commutator_norm():.3e}")

@@ -13,7 +13,6 @@ Run:  python3 demos/duality_walkthrough.py
 import numpy as np
 
 from infopower import (
-    SolverConfig,
     duality_round_trip_check,
     ensemble_from_povm,
     informational_power,
@@ -47,7 +46,7 @@ print(f"  round-trip check: max residual {report.max_residual:.3e}, "
 # The duality exchanges optimality: measure the dual ensemble with the POVM
 # induced by the maximally informative ensemble S*, and the mutual
 # information equals W(Lambda).
-solved = informational_power(povm, SolverConfig(restarts=10, seed=0))
+solved = informational_power(povm)
 induced = povm_from_ensemble(solved.best_ensemble)
 crossed = mutual_information(ensemble, induced)
 print(f"  I(R(Lambda, I/2), Pi(S*)) = {crossed:.12f} bits")

@@ -12,7 +12,6 @@ Run:  python3 demos/sic_power.py
 import numpy as np
 
 from infopower import (
-    SolverConfig,
     anti_tetrahedral_ensemble,
     informational_power,
     mutual_information,
@@ -20,14 +19,14 @@ from infopower import (
 )
 
 povm = tetrahedral_sic_povm()
-report = informational_power(povm, SolverConfig(restarts=10, seed=0))
+report = informational_power(povm)
 
 print("tetrahedral SIC POVM, D = 2, 4 outcomes")
 print(f"  W (solver)         = {report.w_estimate:.12f} bits")
 print(f"  log2(4/3)          = {np.log2(4 / 3):.12f} bits")
 print(f"  converged          = {report.converged}")
 print(f"  ensemble size      = {report.pruned_to} states "
-      f"(Davies window [{report.bound_check.lower}, {report.bound_check.upper}])")
+      f"(Davies bound: at most {report.bound_check.upper})")
 
 # The closed-form optimum: the anti-tetrahedral ensemble.
 closed = mutual_information(anti_tetrahedral_ensemble(), povm)

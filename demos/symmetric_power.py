@@ -4,7 +4,7 @@ A POVM covariant under a group that acts irreducibly on C^D has the
 maximally mixed state as the average of an optimal ensemble, so its
 optimal output distribution is q0_j = Tr(Pi_j)/D. Then
 W = max_psi D(P(.|psi) || q0): one probe at q0, with its maxima folded
-into an ensemble, certifies W without the multistart solver. The qubit
+into an ensemble, certifies W without the generic solver. The qubit
 SIC, the trine, the Hesse SIC in C^3 and the tensor powers of the SIC
 all take that path in ``informational_power``; the table compares each W
 with its closed form.

@@ -101,13 +101,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     povm = _load_povm_input(args)
-    cfg = SolverConfig(
-        restarts=args.restarts,
-        tol=args.tol,
-        seed=_resolve_seed(args.seed),
-        base=LogBase(args.base),
-    )
-    report = informational_power(povm, cfg, jobs=args.jobs)
+    cfg = SolverConfig(tol=args.tol, seed=_resolve_seed(args.seed), base=LogBase(args.base))
+    report = informational_power(povm, cfg)
     sys.stdout.write(json.dumps(report.w_estimate) + "\n")
     if args.out:
         serialize.write_document(args.out, serialize.report_to_document(report))
@@ -184,16 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the informational power of a POVM")
     add_input(p)
-    p.add_argument("--restarts", type=int, default=SolverConfig.restarts,
-                   help="at most R restarts, run one at a time; none runs after the first that certifies")
     p.add_argument("--tol", type=float, default=SolverConfig.tol,
                    help="certificate margin is max(10*tol, 1e-9) nats; "
                         "commuting POVMs stop at min(1e-12, tol) bits")
-    p.add_argument("--seed", type=int, default=None, help="fallback: INFOPOWER_SEED, then 0")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seeds the solver's random draws; fallback: INFOPOWER_SEED, then 0")
     p.add_argument("--base", choices=[b.value for b in LogBase], default=SolverConfig.base.value)
     p.add_argument("--out", help="write the full report to this path")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; restarts run one at a time in one process")
 
     p = sub.add_parser("duality", help="map a POVM to its dual ensemble or back")
     add_input(p)

@@ -183,7 +183,6 @@ def report_to_document(rep: PowerReport) -> dict:
         "bound_check": {
             "dim": bc.dim,
             "m_eff": bc.m_eff,
-            "lower": bc.lower,
             "upper": bc.upper,
             "passed": bc.passed,
             "real_entries": bc.real_entries,

@@ -145,7 +145,7 @@ def test_criterion_04_commuting_fast_path_matches_generic_solver():
             rng = np.random.default_rng(500 + case)
             p = Povm(random_commuting_elements(dim, dim + 1 + case % 2, rng))
             fast = commuting_fast_path(p)
-            generic = see_saw_power(p, SolverConfig(restarts=4, seed=case))
+            generic = see_saw_power(p, SolverConfig(seed=case))
             gap = abs(fast.w_estimate - generic.w_estimate)
             worst = max(worst, gap)
             assert gap <= 1e-6, f"case {case}: fast vs see-saw gap {gap:.3e}"
@@ -160,7 +160,7 @@ def test_criterion_04_commuting_fast_path_matches_generic_solver():
 def test_criterion_05_tensor_products_are_additive():
     def checks() -> str:
         sic2 = tensor_povm(tetrahedral_sic_povm(), tetrahedral_sic_povm())
-        rep = informational_power(sic2, SolverConfig(restarts=40, seed=0), jobs=4)
+        rep = informational_power(sic2, SolverConfig(seed=0))
         err_sic = abs(rep.w_estimate - 2 * SIC_W_BITS)
         assert err_sic <= 1e-4, f"SIC(x)SIC error {err_sic:.3e}"
 
@@ -168,7 +168,7 @@ def test_criterion_05_tensor_products_are_additive():
         rep2 = informational_power(proj2)
         err_proj = abs(rep2.w_estimate - 2.0)
         assert err_proj <= 1e-6, f"projective(x)projective error {err_proj:.3e}"
-        return f"SIC(x)SIC err {err_sic:.2e} (40 restarts), projective pair err {err_proj:.2e}"
+        return f"SIC(x)SIC err {err_sic:.2e}, projective pair err {err_proj:.2e}"
 
     _criterion("C05", "W is additive on tensor products (SIC and projective pairs)", checks)
 
@@ -189,13 +189,13 @@ def test_criterion_06_reported_ensembles_respect_cardinality_bounds():
             corpus.append(Povm(random_rank_one_elements(3, 3 + case % 4, rng)))
         converged = 0
         for case, p in enumerate(corpus):
-            rep = informational_power(p, SolverConfig(restarts=3, seed=case))
+            rep = informational_power(p, SolverConfig(seed=case))
             if not rep.converged:
                 continue
             converged += 1
             bc = rep.bound_check
-            assert bc.passed, (
-                f"case {case} (D={bc.dim}): M_eff = {bc.m_eff} outside [{bc.lower}, {bc.upper}]"
+            assert bc.dim <= bc.m_eff <= bc.upper, (
+                f"case {case} (D={bc.dim}): M_eff = {bc.m_eff} outside [{bc.dim}, {bc.upper}]"
             )
         # the bound claim is about converged runs; make sure it is not vacuous
         assert converged >= 45, f"only {converged}/50 runs converged"
@@ -208,7 +208,7 @@ def test_criterion_06_reported_ensembles_respect_cardinality_bounds():
             rng = np.random.default_rng(4000 + k)
             real_cases.append(Povm(random_rank_one_elements(3, 4 + k, rng, real=True)))
         for k, p in enumerate(real_cases):
-            rep = informational_power(p, SolverConfig(restarts=3, seed=40 + k))
+            rep = informational_power(p, SolverConfig(seed=40 + k))
             if not rep.converged:
                 continue
             bc = rep.bound_check
@@ -299,33 +299,33 @@ def test_criterion_10_binary_symmetric_channel_capacities():
 
 
 def test_criterion_11_reports_are_byte_identical_across_runs_and_jobs(tmp_path):
+    # The trine takes the symmetric path and random_povm(3, 5, seed=1) the
+    # generic solver; each is solved four times at seed 7, the seed given
+    # as --seed twice, as INFOPOWER_SEED alone, and as --seed over a
+    # different INFOPOWER_SEED.
     def checks() -> str:
-        outs = []
-        stdouts = []
-        for tag, jobs in (("a", 1), ("b", 1), ("c", 2), ("d", 3)):
-            out = tmp_path / f"rep_{tag}.json"
-            cmd = [
-                sys.executable,
-                "-m",
-                "infopower",
-                "solve",
-                "--example",
-                "trine",
-                "--restarts",
-                "6",
-                "--seed",
-                "7",
-                "--jobs",
-                str(jobs),
-                "--out",
-                str(out),
-            ]
-            res = subprocess.run(cmd, capture_output=True, text=True, env=_cli_env())
-            assert res.returncode == 0, res.stderr
-            outs.append(out.read_bytes())
-            stdouts.append(res.stdout)
-        assert outs[0] == outs[1] == outs[2] == outs[3], "report bytes differ"
-        assert stdouts[0] == stdouts[1] == stdouts[2] == stdouts[3], "stdout differs"
-        return f"4 runs (jobs 1,1,2,3): {len(outs[0])} identical report bytes"
+        rand3x5 = tmp_path / "rand3x5.json"
+        serialize.write_document(str(rand3x5), serialize.povm_to_document(random_povm(3, 5, seed=1)))
+        seed_sources = (
+            (["--seed", "7"], {}),
+            (["--seed", "7"], {}),
+            ([], {"INFOPOWER_SEED": "7"}),
+            (["--seed", "7"], {"INFOPOWER_SEED": "3"}),
+        )
+        sizes = []
+        for name, source in (("trine", ["--example", "trine"]), ("rand3x5", [str(rand3x5)])):
+            outs = []
+            stdouts = []
+            for k, (flags, env) in enumerate(seed_sources):
+                out = tmp_path / f"rep_{name}_{k}.json"
+                cmd = [sys.executable, "-m", "infopower", "solve", *source, *flags, "--out", str(out)]
+                res = subprocess.run(cmd, capture_output=True, text=True, env={**_cli_env(), **env})
+                assert res.returncode == 0, res.stderr
+                outs.append(out.read_bytes())
+                stdouts.append(res.stdout)
+            assert outs[0] == outs[1] == outs[2] == outs[3], f"{name}: report bytes differ"
+            assert stdouts[0] == stdouts[1] == stdouts[2] == stdouts[3], f"{name}: stdout differs"
+            sizes.append(f"{name} {len(outs[0])}")
+        return f"4 runs each (seed 7 by flag, flag, env, flag over env 3): identical bytes, {', '.join(sizes)}"
 
-    _criterion("C11", "reports are byte-identical across repeat runs and --jobs", checks)
+    _criterion("C11", "reports are byte-identical across repeat runs and seed sources", checks)

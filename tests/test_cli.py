@@ -99,14 +99,14 @@ def test_solve_trivial_example(capsys):
 
 def test_solve_from_file_with_flags(tmp_path, capsys):
     path = write_povm(tmp_path, "trine.json", trine_povm())
-    code, out, _ = run_cli(capsys, "solve", path, "--restarts", "4", "--seed", "3")
+    code, out, _ = run_cli(capsys, "solve", path, "--seed", "3")
     assert code == 0
     assert float(out.strip()) == pytest.approx(np.log2(1.5), abs=1e-6)
 
 
 def test_solve_generic_file_reports_one_restart_when_it_certifies(tmp_path, capsys):
-    # rand3x5 fails the symmetric probe; restart 0 certifies it alone, so
-    # the other default restarts never run
+    # rand3x5 fails the symmetric probe; the generic run certifies it and
+    # the report holds that run's one value
     path = write_povm(tmp_path, "rand3x5.json", random_povm(3, 5, seed=1))
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "solve", path, "--out", str(out_path))
@@ -118,7 +118,7 @@ def test_solve_generic_file_reports_one_restart_when_it_certifies(tmp_path, caps
 
 def test_solve_base_nats(capsys):
     code, out, _ = run_cli(
-        capsys, "solve", "--example", "sic", "--restarts", "3", "--base", "nats"
+        capsys, "solve", "--example", "sic", "--base", "nats"
     )
     assert code == 0
     assert float(out.strip()) == pytest.approx(SIC_W_BITS * np.log(2.0), abs=1e-6)
@@ -126,7 +126,7 @@ def test_solve_base_nats(capsys):
 
 def test_solve_seed_env_fallback(tmp_path):
     env = dict(os.environ, INFOPOWER_SEED="11")
-    cmd = [sys.executable, "-m", "infopower", "solve", "--example", "trine", "--restarts", "3"]
+    cmd = [sys.executable, "-m", "infopower", "solve", "--example", "trine"]
     by_env = subprocess.run(cmd, capture_output=True, text=True, env=env)
     by_flag = subprocess.run(cmd + ["--seed", "11"], capture_output=True, text=True)
     assert by_env.returncode == 0 and by_flag.returncode == 0
@@ -158,16 +158,6 @@ def test_solve_hesse_example_prints_its_closed_form_and_repeats(tmp_path, capsys
     assert code1 == code2 == 0
     assert float(out1.strip()) == pytest.approx(HESSE_W_BITS, abs=1e-9)
     assert out1 == out2
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_solve_jobs_identical_report(tmp_path, capsys):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    base = ["solve", "--example", "trine", "--restarts", "4", "--seed", "1"]
-    code1, _, _ = run_cli(capsys, *base, "--out", str(a))
-    code2, _, _ = run_cli(capsys, *base, "--jobs", "3", "--out", str(b))
-    assert code1 == code2 == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -393,7 +383,7 @@ def test_non_finite_tol_exits_1(tmp_path, capsys, command, tol):
 
 def test_reused_parser_leaks_no_state(tmp_path, capsys):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    solve = ["solve", "--example", "trine", "--restarts", "6", "--seed", "7"]
+    solve = ["solve", "--example", "trine", "--seed", "7"]
     assert main(solve + ["--out", str(first)]) == 0
     with pytest.raises(SystemExit) as exc:
         main(["capacity", "x.json", "--base", "bogus"])

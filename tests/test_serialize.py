@@ -130,14 +130,13 @@ def test_ingest_tolerance_is_looser_than_construction():
 
 
 def test_report_document_fields_and_self_readability():
-    rep = informational_power(tetrahedral_sic_povm(), SolverConfig(restarts=2, seed=0))
+    rep = informational_power(tetrahedral_sic_povm(), SolverConfig(seed=0))
     doc = json.loads(serialize.dumps(serialize.report_to_document(rep)))
     assert doc["kind"] == "report"
     assert doc["base"] == "bits"
     assert set(doc["bound_check"]) == {
         "dim",
         "m_eff",
-        "lower",
         "upper",
         "passed",
         "real_entries",
@@ -269,7 +268,7 @@ def test_dumps_matches_json_on_every_document_kind(tmp_path, monkeypatch, capsys
     ensemble, _ = ensemble_from_povm(povm, maximally_mixed(16))
     rng = np.random.default_rng(64)
     channel = ClassicalChannel(rng.dirichlet(np.ones(64), size=64))
-    sic = informational_power(tetrahedral_sic_povm(), SolverConfig(restarts=2, seed=0))
+    sic = informational_power(tetrahedral_sic_povm(), SolverConfig(seed=0))
     docs = [
         serialize.povm_to_document(povm),
         serialize.ensemble_to_document(ensemble),
