@@ -31,8 +31,9 @@ q0_j = Tr(Pi_j)/D of the maximally mixed average. Its maxima, folded and
 weighted by Blahut-Arimoto, certify W when their rate comes within the
 margin of the probed maximum, which bounds W from above by the dual form.
 That happens when symmetry makes q0 the optimal output (SICs, the trine,
-their tensor powers); on other POVMs the probe fails and the generic run
-follows.
+their tensor powers). A screen at the generic run's start count comes
+first: on other POVMs its maxima fold to one state, so the full probe is
+skipped and the generic run follows.
 """
 
 from __future__ import annotations
@@ -405,7 +406,7 @@ def _unmerged(live: np.ndarray, vectors: np.ndarray, vals: np.ndarray) -> np.nda
 
 
 @dataclass(frozen=True)
-class _RestartOutcome:
+class _RunOutcome:
     value_nats: float
     vectors: np.ndarray
     priors: np.ndarray
@@ -413,7 +414,7 @@ class _RestartOutcome:
     converged: bool
 
 
-def _run_restart(elements: np.ndarray, seed: int, tol: float) -> _RestartOutcome:
+def _run(elements: np.ndarray, seed: int, tol: float) -> _RunOutcome:
     """One seeded column-generation run, deterministic given the seed.
 
     It starts from D^2 random states (the Davies bound) at a uniform prior
@@ -461,8 +462,8 @@ def _run_restart(elements: np.ndarray, seed: int, tol: float) -> _RestartOutcome
                 break
         else:
             break  # no weight on the violator raises the rate at double precision
-    return _RestartOutcome(value_nats=value, vectors=vectors, priors=prior, iterations=round_,
-                           converged=converged)
+    return _RunOutcome(value_nats=value, vectors=vectors, priors=prior, iterations=round_,
+                       converged=converged)
 
 
 def _power_report(p: Povm, vectors: np.ndarray, prior: np.ndarray, base: LogBase, *,
@@ -523,7 +524,7 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None) -> PowerReport:
     The D = 1 and one-element POVMs certify too.
     """
     cfg = cfg or SolverConfig()
-    run = _run_restart(p.elements, cfg.seed, cfg.tol)
+    run = _run(p.elements, cfg.seed, cfg.tol)
     vectors, prior = _compact(run.vectors, run.priors)
     prior, _ = _refit(_channel_probs(vectors, p.elements), prior, INNER_BA_TOL)
     return _power_report(p, vectors, prior, cfg.base, converged=run.converged,
@@ -561,21 +562,32 @@ def _symmetric_power(p: Povm, cfg: SolverConfig) -> PowerReport | None:
     that margin, with the same heuristic probe as the generic path. The
     test passes when the capacity-achieving output is q0, as it is for a
     POVM covariant under a group acting irreducibly on C^D (SICs, the
-    trine, their tensor powers); the group is never needed. Otherwise this
-    returns None and costs one failed probe. The report counts one
-    iteration and one value.
+    trine, their tensor powers); the group is never needed.
+
+    The probe runs twice from the same seed: first as a screen of
+    max(16, 8D) random starts, the generic run's count, then with
+    max(64, 8D^2). When either folds to one state with M0 above the
+    margin, the test cannot pass (one state has rate 0) and this returns
+    None. Symmetric POVMs fold to several states at the screen; random
+    POVMs fold to one, so on them a failure costs one screen of
+    max(16, 8D) starts. Only the second probe can certify: the screen's
+    fewer starts can leave a maximum short of the margin. The report
+    counts one iteration and one value.
     """
     elements, dim = p.elements, p.dim
     margin = max(10.0 * cfg.tol, 1e-9)
     q0 = np.trace(elements, axis1=1, axis2=2).real / dim
-    # The root of the seed's sequence: the generic run draws from its child (0,).
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
-    vectors, _, vals = _max_relative_entropy_states(q0, elements, rng, max(64, 8 * dim * dim))
-    best = float(vals.max())
-    # Best first, so that _compact folds each state into its best copy.
-    near = np.flatnonzero(vals >= best - margin)
-    near = near[np.argsort(-vals[near], kind="stable")]
-    vectors, _ = _compact(vectors[near], np.full(near.size, 1.0))
+    for n_init in (max(16, 8 * dim), max(64, 8 * dim * dim)):
+        # The root of the seed's sequence: the generic run draws from its child (0,).
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
+        vectors, _, vals = _max_relative_entropy_states(q0, elements, rng, n_init)
+        best = float(vals.max())
+        # Best first, so that _compact folds each state into its best copy.
+        near = np.flatnonzero(vals >= best - margin)
+        near = near[np.argsort(-vals[near], kind="stable")]
+        vectors, _ = _compact(vectors[near], np.full(near.size, 1.0))
+        if len(vectors) == 1 and best > margin:
+            return None  # one state has rate 0
     m = len(vectors)
     r, rate = _refit(_channel_probs(vectors, elements), np.full(m, 1.0 / m), 0.1 * margin)
     if best - rate > margin:
@@ -591,14 +603,16 @@ def informational_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1)
     Commuting elements admit an exact solution on their common
     eigenbasis. The fast path decides "commuting" itself: the eigenbasis
     of a fixed random combination of the elements must leave no
-    off-diagonal entry above 1e-10 in any of them. On NotCommuting one
+    off-diagonal entry above 1e-10 in any of them. On NotCommuting a
     probe at the maximally mixed output tries to certify W directly
-    (``_symmetric_power``); when that fails, the generic solver runs once. A commuting POVM whose combination happens to be nearly
-    degenerate also lands past the fast path and is solved more slowly,
-    under one of the other two certificates. The fast path stops at
-    min(INNER_BA_TOL, cfg.tol) bits whatever ``cfg.base``, so a report in
-    nats is the report in bits converted. ``jobs`` is accepted for
-    compatibility and has no effect.
+    (``_symmetric_power``); a screen of max(16, 8D) starts turns away
+    POVMs without that symmetry before the full probe runs. When the
+    certificate fails, the generic solver runs once. A commuting POVM
+    whose combination happens to be nearly degenerate also lands past the
+    fast path and is solved more slowly, under one of the other two
+    certificates. The fast path stops at min(INNER_BA_TOL, cfg.tol) bits
+    whatever ``cfg.base``, so a report in nats is the report in bits
+    converted. ``jobs`` is accepted for compatibility and has no effect.
     """
     cfg = cfg or SolverConfig()
     unit_per_bit = LN2 if cfg.base is LogBase.NATS else 1.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infopower import linalg, solver
+from infopower import linalg, serialize, solver
 from infopower.errors import NotCommuting
 from infopower.information import LN2, LogBase, channel_mutual_information_nats, mutual_information
 from infopower.objects import (
@@ -394,7 +394,7 @@ def test_restart_history_is_monotone(monkeypatch):
     runs = [(povm, seed) for povm in (trine_povm(), sic) for seed in range(4)]
     for povm, seed in [*runs, (tensor_power(sic, 2), 0)]:
         rates.clear()
-        out = solver._run_restart(povm.elements, seed, 1e-9)
+        out = solver._run(povm.elements, seed, 1e-9)
         assert len(rates) == 2 * out.iterations
         assert np.all(np.diff(rates) >= -1e-12), "the rate must not decrease"
 
@@ -403,7 +403,7 @@ def test_restart_value_is_soundly_recomputable():
     """Per-run lower-bound soundness against an independent MI formula."""
     p = tetrahedral_sic_povm()
     for seed in range(3):
-        out = solver._run_restart(p.elements, seed, 1e-9)
+        out = solver._run(p.elements, seed, 1e-9)
         independent = mi_bits_pure(out.priors, out.vectors, p.elements) * LN2
         assert out.value_nats == pytest.approx(independent, abs=1e-12)
 
@@ -472,7 +472,7 @@ def test_first_polish_ends_well_before_its_cap(monkeypatch):
     first = []
     for seed in range(20):
         ticks.clear()
-        solver._run_restart(p.elements, seed, 1e-9)
+        solver._run(p.elements, seed, 1e-9)
         first.append(ticks[0])
     assert max(first) <= 300
 
@@ -511,9 +511,9 @@ def test_restart_does_not_depend_on_the_runs_before_it(povm):
     """The seed alone decides a run: over seeds in reverse order, each run
     is exactly the run it is in order, and see_saw_power reports the value
     of the run at its seed."""
-    in_order = [solver._run_restart(povm.elements, seed, 1e-9) for seed in range(6)]
+    in_order = [solver._run(povm.elements, seed, 1e-9) for seed in range(6)]
     for seed in reversed(range(6)):
-        _assert_same_run(solver._run_restart(povm.elements, seed, 1e-9), in_order[seed])
+        _assert_same_run(solver._run(povm.elements, seed, 1e-9), in_order[seed])
         values = see_saw_power(povm, SolverConfig(seed=seed)).per_restart_values
         assert values == (LogBase.BITS.from_nats(in_order[seed].value_nats),)
 
@@ -550,7 +550,7 @@ def test_certified_restarts_sit_within_the_margin_of_the_best():
     seeds 0-19 found; one stopped on another's probe would fall short."""
     p = random_povm(4, 8, seed=2)
     tol = 1e-9
-    outcomes = [solver._run_restart(p.elements, seed, tol) for seed in range(20)]
+    outcomes = [solver._run(p.elements, seed, tol) for seed in range(20)]
     best = max(o.value_nats for o in outcomes)
     for o in outcomes:
         if o.converged:
@@ -563,7 +563,7 @@ def test_an_uncertified_run_is_reported_as_it_stands(monkeypatch):
     and rounds."""
     monkeypatch.setattr(solver, "MAX_ROUNDS", 1)
     p = tensor_power(tetrahedral_sic_povm(), 2)
-    run = solver._run_restart(p.elements, 0, 1e-9)
+    run = solver._run(p.elements, 0, 1e-9)
     rep = see_saw_power(p)
     assert not run.converged
     assert rep.converged is False
@@ -702,15 +702,50 @@ def test_symmetric_fold_keeps_the_best_copy_of_each_maximum(monkeypatch):
     assert rep.w_estimate == pytest.approx(SIC_W_BITS, abs=1e-12)
 
 
-@pytest.mark.parametrize("dim, outcomes, povm_seed", [(3, 5, 1), (4, 8, 2), (4, 5, 4052)])
-def test_symmetric_path_falls_through_on_random_povms(dim, outcomes, povm_seed):
+def _q0_probes(p, monkeypatch):
+    """``informational_power``'s report on ``p`` with the start count of
+    each probe it runs at q0; the generic run's probes also start from its
+    ensemble, so they pass ``extra``."""
+    q0 = np.trace(p.elements, axis1=1, axis2=2).real / p.dim
+    probe = solver._max_relative_entropy_states
+    starts = []
+
+    def spy(q, elements, rng, n_init, extra=None):
+        if extra is None:
+            assert np.array_equal(q, q0)
+            starts.append(n_init)
+        return probe(q, elements, rng, n_init, extra)
+
+    monkeypatch.setattr(solver, "_max_relative_entropy_states", spy)
+    return informational_power(p), starts
+
+
+def _report_bytes(rep: PowerReport) -> str:
+    return serialize.dumps(serialize.report_to_document(rep))
+
+
+@pytest.mark.parametrize(
+    "dim, outcomes, povm_seed", [(3, 5, 1), (4, 8, 2), (4, 5, 4052), (8, 16, 0), (16, 32, 0)]
+)
+def test_symmetric_path_falls_through_on_random_povms(dim, outcomes, povm_seed, monkeypatch):
+    """The screen alone, one probe of max(16, 8D) starts at q0, turns a
+    random POVM away, and the report is the generic solver's."""
     p = random_povm(dim, outcomes, seed=povm_seed)
     cfg = SolverConfig(seed=0)
     assert solver._symmetric_power(p, cfg) is None
-    rep, generic = informational_power(p, cfg), see_saw_power(p, cfg)
-    assert rep.w_estimate == generic.w_estimate
-    assert rep.per_restart_values == generic.per_restart_values
-    assert rep.iterations_used == generic.iterations_used
+    rep, starts = _q0_probes(p, monkeypatch)
+    assert starts == [max(16, 8 * dim)]
+    assert _report_bytes(rep) == _report_bytes(see_saw_power(p, cfg))
+
+
+@pytest.mark.parametrize("name", ["sic", "trine", "hesse", "sic2"])
+def test_screen_passes_symmetric_povms_to_the_full_probe(name, monkeypatch):
+    """A symmetric POVM passes the screen, and the second probe at q0, of
+    max(64, 8D^2) starts, certifies it."""
+    p = {**COVARIANT, "sic2": lambda: tensor_power(tetrahedral_sic_povm(), 2)}[name]()
+    rep, starts = _q0_probes(p, monkeypatch)
+    assert starts == [max(16, 8 * p.dim), max(64, 8 * p.dim**2)]
+    assert _is_symmetric_report(rep)
 
 
 def test_sic_probe_maxima_at_the_uniform_output_are_the_anti_aligned_states():
@@ -733,18 +768,30 @@ class _Captured(Exception):
 
 
 @pytest.mark.parametrize(
-    "povm", [random_povm(4, 8, seed=2), random_povm(6, 12, seed=4)], ids=["rand4x8", "rand6x12"]
+    "povm, q0_probes",
+    [
+        pytest.param(random_povm(4, 8, seed=2), 1, id="rand4x8"),
+        pytest.param(random_povm(6, 12, seed=4), 1, id="rand6x12"),
+        pytest.param(hesse_sic_povm(), 2, id="hesse"),
+        pytest.param(tensor_power(tetrahedral_sic_povm(), 2), 2, id="sic2"),
+    ],
 )
-def test_probe_reaches_the_plain_climb(povm, monkeypatch):
-    """On the symmetric path's probe at q0 and on the first probe of the
-    run at each of seeds 0-2, the best value must come within 1e-10 nats
-    of every start climbing PROBE_MAX_STEPS steps with no early exit."""
-    runs = [lambda: solver._symmetric_power(povm, SolverConfig())]
-    runs += [lambda seed=seed: solver._run_restart(povm.elements, seed, 1e-9) for seed in range(3)]
-    for run in runs:
+def test_probe_reaches_the_plain_climb(povm, q0_probes, monkeypatch):
+    """On each of the symmetric path's probes at q0 (the screen, and on a
+    POVM that passes it the full probe) and on the first probe of the run
+    at each of seeds 0-2, the best value must come within 1e-10 nats of
+    every start climbing PROBE_MAX_STEPS steps with no early exit."""
+    runs = [(lambda: solver._symmetric_power(povm, SolverConfig()), k) for k in range(q0_probes)]
+    runs += [(lambda seed=seed: solver._run(povm.elements, seed, 1e-9), 0) for seed in range(3)]
+    probe = solver._max_relative_entropy_states
+    for run, k in runs:
         seen = {}
+        calls = []
 
         def capture(q, elements, rng, n_init, extra=None):
+            calls.append(n_init)
+            if len(calls) <= k:
+                return probe(q, elements, rng, n_init, extra)
             seen.update(q=q.copy(), rng=copy.deepcopy(rng), n_init=n_init,
                         extra=None if extra is None else extra.copy())
             raise _Captured
