@@ -10,6 +10,7 @@ finite ensemble of pure states and repeats one round:
 1. polish: L-BFGS ascent of I, with analytic gradients, over the vectors
    u_i = sqrt(r_i) psi_i, whose outer products sum to the average state;
    every member has about the same curvature there, whatever its prior;
+   a line-search trial costs I alone, the gradient only where it steps;
 2. compact: drop negligible-prior members and fold duplicates;
 3. refit: one warm-started, capped Blahut-Arimoto run on the prior;
 4. probe: search for a pure state whose relative entropy to the output
@@ -158,28 +159,51 @@ def _normalize_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def _channel_probs(vectors: np.ndarray, elements: np.ndarray) -> np.ndarray:
+def _probs_layout(elements: np.ndarray) -> np.ndarray:
+    """The elements' conjugates flattened to a real (N, 2*D*D) view, the
+    right factor of ``_channel_probs``."""
+    n, dim, _ = elements.shape
+    return np.ascontiguousarray(elements.reshape(n, dim * dim).conj()).view(float)
+
+
+def _weights_layout(elements: np.ndarray) -> np.ndarray:
+    """The elements flattened to a real (N, 2*D*D) view, the right factor
+    of ``_weighted_elements``."""
+    n, dim, _ = elements.shape
+    return np.ascontiguousarray(elements).reshape(n, dim * dim).view(float)
+
+
+def _channel_probs(vectors: np.ndarray, elements: np.ndarray,
+                   layout: np.ndarray | None = None) -> np.ndarray:
     """Outcome probabilities <psi_i|Pi_j|psi_i> for unit row vectors, as
-    one real product of the rows of |psi_i><psi_i| against the elements."""
-    n, dim, _ = elements.shape
+    one real product of the rows of |psi_i><psi_i| against the elements.
+    A caller that evaluates many points may pass ``_probs_layout(elements)``
+    as ``layout``."""
+    dim = elements.shape[1]
     outer = np.ascontiguousarray(vectors.conj()[:, :, None] * vectors[:, None, :]).reshape(-1, dim * dim)
-    layout = np.ascontiguousarray(elements.reshape(n, dim * dim).conj())
-    return np.clip(outer.view(float) @ layout.view(float).T, 0.0, 1.0)
+    if layout is None:
+        layout = _probs_layout(elements)
+    # np.clip's wrapper costs more than its two ufuncs at these sizes
+    return np.minimum(np.maximum(outer.view(float) @ layout.T, 0.0), 1.0)
 
 
-def _weighted_elements(lr: np.ndarray, elements: np.ndarray) -> np.ndarray:
+def _weighted_elements(lr: np.ndarray, elements: np.ndarray,
+                       layout: np.ndarray | None = None) -> np.ndarray:
     """H_i = sum_j lr_ij Pi_j for every row of ``lr``, as one real product
-    against the elements flattened to (N, 2*D*D)."""
-    n, dim, _ = elements.shape
-    flat = np.ascontiguousarray(elements).reshape(n, dim * dim)
-    return (lr @ flat.view(float)).view(complex).reshape(-1, dim, dim)
+    against the elements flattened to (N, 2*D*D); ``layout`` may be
+    ``_weights_layout(elements)``, built once by the caller."""
+    dim = elements.shape[1]
+    if layout is None:
+        layout = _weights_layout(elements)
+    return (lr @ layout).view(complex).reshape(-1, dim, dim)
 
 
 def _mi_gradient(vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray,
-                 lr: np.ndarray) -> np.ndarray:
+                 lr: np.ndarray, layout: np.ndarray | None = None) -> np.ndarray:
     """Tangent gradient of I w.r.t. the state vectors (m, D), priors fixed;
-    ``lr`` is the log-ratio ln(p_ij / q_j) at the states."""
-    hv = (_weighted_elements(lr, elements) @ vectors[:, :, None])[:, :, 0]
+    ``lr`` is the log-ratio ln(p_ij / q_j) at the states and ``layout`` is
+    passed on to ``_weighted_elements``."""
+    hv = (_weighted_elements(lr, elements, layout) @ vectors[:, :, None])[:, :, 0]
     g = 2.0 * prior[:, None] * hv
     radial = np.sum(np.real(vectors.conj() * g), axis=1)
     return g - radial[:, None] * vectors
@@ -204,21 +228,24 @@ def _lbfgs_direction(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, fl
 
 
 def _lbfgs_ascent(
-    fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    fg: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]],
     x: np.ndarray,
     max_iter: int,
 ) -> tuple[np.ndarray, float]:
     """Maximize f from ``x`` by L-BFGS with Armijo backtracking.
 
-    ``fg(x)`` returns ``(f, grad f)``. Curvature pairs are kept only when
-    s.y > 0, so that the direction ascends wherever the gradient is
-    nonzero. Only steps that raise f are taken, so f at the returned point
-    is never below f at the start. The ascent stops after ``max_iter``
-    steps, or when no step along the direction raises f within 40
-    halvings, which at the end happens at the double-precision resolution
-    of f. Returns the final point and f there.
+    ``fg(x)`` returns ``(f, grad)``, where ``grad()`` computes the gradient
+    of f at ``x``. The ascent calls ``grad`` once at the start and once at
+    every point it steps to, so a rejected trial point costs f alone.
+    Curvature pairs are kept only when s.y > 0, so that the direction
+    ascends wherever the gradient is nonzero. Only steps that raise f are
+    taken, so f at the returned point is never below f at the start. The
+    ascent stops after ``max_iter`` steps, or when no step along the
+    direction raises f within 40 halvings, which at the end happens at the
+    double-precision resolution of f. Returns the final point and f there.
     """
-    f, g = fg(x)
+    f, grad = fg(x)
+    g = grad()
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
     d = _lbfgs_direction(g, pairs)
     slope = g @ d
@@ -227,11 +254,12 @@ def _lbfgs_ascent(
             break
         for step in 0.5 ** np.arange(40):
             x_new = x + step * d
-            f_new, g_new = fg(x_new)
+            f_new, grad = fg(x_new)
             if f_new > f + 1e-4 * step * slope:
                 break
         else:
             break
+        g_new = grad()
         s, y = x_new - x, g - g_new
         sy = s @ y
         if sy > 0.0:
@@ -246,24 +274,34 @@ def _polish_point(x: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.n
     """The states u_i/|u_i|, priors |u_i|^2 / sum_k |u_k|^2 and norms |u_i|
     of the ensemble u_i = sqrt(r_i) psi_i held as a real view in ``x``."""
     u = x.view(complex).reshape(-1, dim)
-    norms = np.linalg.norm(u, axis=1)
-    return u / norms[:, None], norms**2 / np.sum(norms**2), norms
+    # np.linalg.norm(u, axis=1) and np.sum, as the ufunc reductions they wrap
+    norms = np.sqrt(np.add.reduce((u.conj() * u).real, axis=1))
+    return u / norms[:, None], norms**2 / np.add.reduce(norms**2), norms
 
 
-def _polish_fg(x: np.ndarray, elements: np.ndarray) -> tuple[float, np.ndarray]:
-    """I and its gradient at ``x``: along u_i the gradient is
-    (t_i + 2 r_i (D_i - I) psi_i) / |u_i|, with t_i the tangent state
-    gradient and D_i = D(p(.|i) || q). The second term, equal to
-    2 (D_i - I) u_i / sum_k |u_k|^2, comes from the prior. The gradient is
-    orthogonal to ``x``, as I does not change with the scale of u."""
+def _polish_fg(x: np.ndarray, elements: np.ndarray, probs_layout: np.ndarray | None = None,
+               weights_layout: np.ndarray | None = None) -> tuple[float, Callable[[], np.ndarray]]:
+    """I at ``x`` with a callable for its gradient, in the contract of
+    ``_lbfgs_ascent``; the layouts go to the kernels. Along u_i the
+    gradient is (t_i + 2 r_i (D_i - I) psi_i) / |u_i|, with t_i the
+    tangent state gradient and D_i = D(p(.|i) || q). The second term,
+    equal to 2 (D_i - I) u_i / sum_k |u_k|^2, comes from the prior. The
+    gradient is orthogonal to ``x``, as I does not change with the scale
+    of u. The callable finishes it from this evaluation's own states,
+    priors, norms, probabilities, log-ratios and D_i, so it computes only
+    what I did not."""
     v, r, norms = _polish_point(x, elements.shape[1])
-    probs = _channel_probs(v, elements)
+    probs = _channel_probs(v, elements, probs_layout)
     lr = _log_ratio(probs, r @ probs)
-    d = np.sum(probs * lr, axis=1)
+    d = np.add.reduce(probs * lr, axis=1)  # np.sum without its wrapper
     value = r @ d
-    radial = 2.0 * r * (d - value)
-    g = (_mi_gradient(v, r, elements, lr) + radial[:, None] * v) / norms[:, None]
-    return value, g.view(float).ravel()
+
+    def grad() -> np.ndarray:
+        radial = 2.0 * r * (d - value)
+        g = (_mi_gradient(v, r, elements, lr, weights_layout) + radial[:, None] * v) / norms[:, None]
+        return g.view(float).ravel()
+
+    return value, grad
 
 
 def _polish(
@@ -275,11 +313,13 @@ def _polish(
     Over prior logits the curvature of member i scales with r_i; in u it
     is about 1/sum_k |u_k|^2 for every member, so one L-BFGS scale fits
     light and heavy members alike. A zero prior starts at sqrt(_TINY).
+    The kernels' element layouts are built once for the whole ascent.
     Returns the states, the priors and their rate, which is never below
     the starting rate.
     """
     x0 = (np.sqrt(np.maximum(prior, _TINY))[:, None] * vectors).view(float).ravel()
-    x, value = _lbfgs_ascent(lambda x: _polish_fg(x, elements), x0, POLISH_MAX_ITER)
+    layouts = _probs_layout(elements), _weights_layout(elements)
+    x, value = _lbfgs_ascent(lambda x: _polish_fg(x, elements, *layouts), x0, POLISH_MAX_ITER)
     v, r, _ = _polish_point(x, vectors.shape[1])
     return v, r, float(value)
 

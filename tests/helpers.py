@@ -225,6 +225,37 @@ def reference_probe_values(
     return best
 
 
+def eager_lbfgs_ascent(fg, x: np.ndarray, max_iter: int, direction, memory: int):
+    """L-BFGS ascent with Armijo backtracking that takes ``fg(x) = (f, grad
+    f)`` at every trial point, rejected ones included: the solver's ascent
+    before it deferred the gradient to accepted points. ``direction(g,
+    pairs)`` is the two-loop direction and ``memory`` the number of pairs
+    kept; the constants 1e-4 and 40 halvings and the s.y > 0 pair rule are
+    the solver's. Returns the final point and f there."""
+    f, g = fg(x)
+    pairs: list = []
+    d = direction(g, pairs)
+    slope = g @ d
+    for _ in range(max_iter):
+        if slope <= 0.0:
+            break
+        for step in 0.5 ** np.arange(40):
+            x_new = x + step * d
+            f_new, g_new = fg(x_new)
+            if f_new > f + 1e-4 * step * slope:
+                break
+        else:
+            break
+        s, y = x_new - x, g - g_new
+        sy = s @ y
+        if sy > 0.0:
+            pairs = [*pairs, (s, y, 1.0 / sy)][-memory:]
+        x, f, g = x_new, f_new, g_new
+        d = direction(g, pairs)
+        slope = g @ d
+    return x, f
+
+
 def fd_state_gradient(ensemble, povm, i: int, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of I (nats) in the i-th member's amplitudes.
 

@@ -39,6 +39,7 @@ from helpers import (
     TRINE_W_BITS,
     block_channel,
     dual_bound_bits,
+    eager_lbfgs_ascent,
     fd_state_gradient,
     mi_bits_pure,
     random_commuting_elements,
@@ -422,7 +423,7 @@ def test_polish_gradient_matches_central_differences():
     p = random_povm(4, 8, seed=2)
     rng = np.random.default_rng(5)
     for x in rng.standard_normal((2, 2 * 6 * 4)):
-        _, g = solver._polish_fg(x, p.elements)
+        g = solver._polish_fg(x, p.elements)[1]()
         h = 1e-6
         fd = np.empty_like(x)
         for k in range(len(x)):
@@ -447,6 +448,76 @@ def test_polish_takes_zero_priors():
         assert np.all(np.isfinite(v)) and np.all(np.isfinite(r))
         assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0.0, atol=1e-12)
         assert rate >= start
+
+
+def _run_start(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The D^2 states and uniform prior that the run at seed 0 starts from."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0,)))
+    m = dim * dim
+    vectors = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
+    return solver._normalize_rows(vectors), np.full(m, 1.0 / m)
+
+
+POLISH_INPUTS = {
+    "rand3x5": lambda: (random_povm(3, 5, seed=1), *_run_start(3)),
+    "rand4x8": lambda: (random_povm(4, 8, seed=2), *_run_start(4)),
+    "zero_priors": lambda: (random_povm(3, 6, seed=0), random_pure_states(3, 9, seed=0),
+                            np.array([1 / 6] * 6 + [0.0] * 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLISH_INPUTS))
+def test_polish_matches_the_eager_ascent(monkeypatch, name):
+    """Deferring the gradient to accepted points changes no bit: the
+    polish driven by an ascent that takes (f, grad f) at every trial point
+    returns equal states, priors and rate."""
+    p, vectors, prior = POLISH_INPUTS[name]()
+    lazy = solver._polish(vectors, prior, p.elements)
+
+    def eager(fg, x, max_iter):
+        def fg_eager(y):
+            f, grad = fg(y)
+            return f, grad()
+
+        return eager_lbfgs_ascent(fg_eager, x, max_iter, solver._lbfgs_direction, solver.LBFGS_MEMORY)
+
+    monkeypatch.setattr(solver, "_lbfgs_ascent", eager)
+    reference = solver._polish(vectors, prior, p.elements)
+    assert np.array_equal(lazy[0], reference[0])
+    assert np.array_equal(lazy[1], reference[1])
+    assert lazy[2] == reference[2]
+
+
+@pytest.mark.parametrize("name", sorted(POLISH_INPUTS))
+def test_polish_computes_the_gradient_once_per_step(monkeypatch, name):
+    """The ascent asks for the gradient at its start and at every point it
+    steps to, never at a rejected trial. A new direction is taken exactly
+    there, so the gradient count is the direction count; and the closing
+    search, which fails, leaves rejected trials."""
+    p, vectors, prior = POLISH_INPUTS[name]()
+    counts = {"f": 0, "grad": 0, "direction": 0}
+    polish_fg, direction = solver._polish_fg, solver._lbfgs_direction
+
+    def counted_fg(*args):
+        counts["f"] += 1
+        f, grad = polish_fg(*args)
+
+        def counted_grad():
+            counts["grad"] += 1
+            return grad()
+
+        return f, counted_grad
+
+    def counted_direction(g, pairs):
+        counts["direction"] += 1
+        return direction(g, pairs)
+
+    monkeypatch.setattr(solver, "_polish_fg", counted_fg)
+    monkeypatch.setattr(solver, "_lbfgs_direction", counted_direction)
+    solver._polish(vectors, prior, p.elements)
+    steps = counts["direction"] - 1
+    assert counts["grad"] == steps + 1
+    assert counts["f"] >= steps + 1 + 40
 
 
 def test_first_polish_ends_well_before_its_cap(monkeypatch):
@@ -521,17 +592,25 @@ def test_restart_does_not_depend_on_the_runs_before_it(povm):
 def test_lbfgs_rows_stop_on_their_own(monkeypatch):
     """One separable concave quadratic per row of conditionings: no step
     the ascent takes lowers f, and it stops on its own before max_iter at
-    the maximum 0, within 1e-12."""
+    the maximum 0, within 1e-12. The gradient is asked for only at the
+    start and where a step lands."""
     centre = np.array([1.0, -2.0, 0.5])
     direction = solver._lbfgs_direction
     for a in np.array([[1.0, 1.0, 1.0], [1.0, 30.0, 1e3], [1.0, 1e3, 1e6]]):
         evaluated = []
         stepped = []  # f at the start and at every point stepped to
+        asked = []  # f wherever the gradient was asked for
 
         def fg(x):
             dx = x - centre
             evaluated.append((-0.5 * np.sum(a * dx**2), -a * dx))
-            return evaluated[-1]
+            f, g = evaluated[-1]
+
+            def grad():
+                asked.append(f)
+                return g
+
+            return f, grad
 
         def recorded(g, pairs):
             # the ascent takes a new direction only where it stands
@@ -543,6 +622,7 @@ def test_lbfgs_rows_stop_on_their_own(monkeypatch):
         assert np.all(np.diff(stepped) >= 0.0)
         assert len(stepped) - 1 < solver.POLISH_MAX_ITER
         assert stepped[-1] == f and -1e-12 < f <= 0.0
+        assert asked == stepped
 
 
 def test_certified_restarts_sit_within_the_margin_of_the_best():
