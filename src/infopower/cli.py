@@ -34,23 +34,21 @@ from .objects import (
 from .duality import ZERO_PRIOR_TOL, _round_trip_report, ensemble_from_povm, povm_from_ensemble
 from .solver import SolverConfig, informational_power
 
-EXAMPLES = ("sic", "hesse", "projective2", "projective3", "trine", "trivial")
+_EXAMPLE_POVMS = {
+    "sic": tetrahedral_sic_povm,
+    "hesse": hesse_sic_povm,
+    "projective2": lambda: standard_projective_povm(2),
+    "projective3": lambda: standard_projective_povm(3),
+    "trine": trine_povm,
+    "trivial": lambda: Povm(np.eye(2, dtype=complex)[None, :, :]),
+}
+EXAMPLES = tuple(_EXAMPLE_POVMS)
 
 
 def example_povm(name: str) -> Povm:
-    if name == "sic":
-        return tetrahedral_sic_povm()
-    if name == "hesse":
-        return hesse_sic_povm()
-    if name == "projective2":
-        return standard_projective_povm(2)
-    if name == "projective3":
-        return standard_projective_povm(3)
-    if name == "trine":
-        return trine_povm()
-    if name == "trivial":
-        return Povm(np.eye(2, dtype=complex)[None, :, :])
-    raise ValueError(f"unknown example {name!r}")
+    if name not in _EXAMPLE_POVMS:
+        raise ValueError(f"unknown example {name!r}")
+    return _EXAMPLE_POVMS[name]()
 
 
 def _emit(doc: dict) -> None:

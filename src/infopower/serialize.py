@@ -16,6 +16,7 @@ compact C encoder, and only the line breaks are added in Python.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -169,7 +170,6 @@ def channel_to_document(ch: ClassicalChannel) -> dict:
 
 
 def report_to_document(rep: PowerReport) -> dict:
-    bc = rep.bound_check
     return {
         "kind": KIND_REPORT,
         "w_estimate": float(rep.w_estimate),
@@ -180,15 +180,7 @@ def report_to_document(rep: PowerReport) -> dict:
         "iterations_used": int(rep.iterations_used),
         "fast_path_used": bool(rep.fast_path_used),
         "pruned_to": int(rep.pruned_to),
-        "bound_check": {
-            "dim": bc.dim,
-            "m_eff": bc.m_eff,
-            "upper": bc.upper,
-            "passed": bc.passed,
-            "real_entries": bc.real_entries,
-            "real_upper": bc.real_upper,
-            "real_passed": bc.real_passed,
-        },
+        "bound_check": dataclasses.asdict(rep.bound_check),
     }
 
 

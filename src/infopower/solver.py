@@ -39,6 +39,7 @@ skipped and the generic run follows.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -159,51 +160,51 @@ def _normalize_rows(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def _probs_layout(elements: np.ndarray) -> np.ndarray:
-    """The elements' conjugates flattened to a real (N, 2*D*D) view, the
-    right factor of ``_channel_probs``."""
-    n, dim, _ = elements.shape
-    return np.ascontiguousarray(elements.reshape(n, dim * dim).conj()).view(float)
+def _margin(tol: float) -> float:
+    """The certificate margin in nats: a rate is certified when no pure
+    state beats it by more than this. Refits stop at a tenth of it, so
+    that only an excess clearly above what a refit leaves is evidence of
+    a violator."""
+    return max(10.0 * tol, 1e-9)
 
 
-def _weights_layout(elements: np.ndarray) -> np.ndarray:
-    """The elements flattened to a real (N, 2*D*D) view, the right factor
-    of ``_weighted_elements``."""
-    n, dim, _ = elements.shape
-    return np.ascontiguousarray(elements).reshape(n, dim * dim).view(float)
+class _Kernel:
+    """The channel psi -> <psi|Pi_j|psi> of one POVM, built once per solve:
+    the elements (N, D, D), D, the elements flattened to the real
+    (N, 2*D*D) right factors of ``_channel_probs`` (conjugated) and
+    ``_weighted_elements``, and, on first use, each element's top
+    eigenvector."""
+
+    def __init__(self, elements: np.ndarray) -> None:
+        n, dim, _ = elements.shape
+        self.elements, self.dim = elements, dim
+        self.probs_layout = np.ascontiguousarray(elements.reshape(n, dim * dim).conj()).view(float)
+        self.weights_layout = np.ascontiguousarray(elements).reshape(n, dim * dim).view(float)
+
+    @functools.cached_property
+    def tops(self) -> np.ndarray:
+        return np.linalg.eigh(self.elements)[1][:, :, -1]
 
 
-def _channel_probs(vectors: np.ndarray, elements: np.ndarray,
-                   layout: np.ndarray | None = None) -> np.ndarray:
+def _channel_probs(vectors: np.ndarray, kernel: _Kernel) -> np.ndarray:
     """Outcome probabilities <psi_i|Pi_j|psi_i> for unit row vectors, as
-    one real product of the rows of |psi_i><psi_i| against the elements.
-    A caller that evaluates many points may pass ``_probs_layout(elements)``
-    as ``layout``."""
-    dim = elements.shape[1]
+    one real product of the rows of |psi_i><psi_i| against the elements."""
+    dim = kernel.dim
     outer = np.ascontiguousarray(vectors.conj()[:, :, None] * vectors[:, None, :]).reshape(-1, dim * dim)
-    if layout is None:
-        layout = _probs_layout(elements)
     # np.clip's wrapper costs more than its two ufuncs at these sizes
-    return np.minimum(np.maximum(outer.view(float) @ layout.T, 0.0), 1.0)
+    return np.minimum(np.maximum(outer.view(float) @ kernel.probs_layout.T, 0.0), 1.0)
 
 
-def _weighted_elements(lr: np.ndarray, elements: np.ndarray,
-                       layout: np.ndarray | None = None) -> np.ndarray:
+def _weighted_elements(lr: np.ndarray, kernel: _Kernel) -> np.ndarray:
     """H_i = sum_j lr_ij Pi_j for every row of ``lr``, as one real product
-    against the elements flattened to (N, 2*D*D); ``layout`` may be
-    ``_weights_layout(elements)``, built once by the caller."""
-    dim = elements.shape[1]
-    if layout is None:
-        layout = _weights_layout(elements)
-    return (lr @ layout).view(complex).reshape(-1, dim, dim)
+    against the elements flattened to (N, 2*D*D)."""
+    return (lr @ kernel.weights_layout).view(complex).reshape(-1, kernel.dim, kernel.dim)
 
 
-def _mi_gradient(vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray,
-                 lr: np.ndarray, layout: np.ndarray | None = None) -> np.ndarray:
+def _mi_gradient(vectors: np.ndarray, prior: np.ndarray, kernel: _Kernel, lr: np.ndarray) -> np.ndarray:
     """Tangent gradient of I w.r.t. the state vectors (m, D), priors fixed;
-    ``lr`` is the log-ratio ln(p_ij / q_j) at the states and ``layout`` is
-    passed on to ``_weighted_elements``."""
-    hv = (_weighted_elements(lr, elements, layout) @ vectors[:, :, None])[:, :, 0]
+    ``lr`` is the log-ratio ln(p_ij / q_j) at the states."""
+    hv = (_weighted_elements(lr, kernel) @ vectors[:, :, None])[:, :, 0]
     g = 2.0 * prior[:, None] * hv
     radial = np.sum(np.real(vectors.conj() * g), axis=1)
     return g - radial[:, None] * vectors
@@ -279,33 +280,32 @@ def _polish_point(x: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.n
     return u / norms[:, None], norms**2 / np.add.reduce(norms**2), norms
 
 
-def _polish_fg(x: np.ndarray, elements: np.ndarray, probs_layout: np.ndarray | None = None,
-               weights_layout: np.ndarray | None = None) -> tuple[float, Callable[[], np.ndarray]]:
+def _polish_fg(x: np.ndarray, kernel: _Kernel) -> tuple[float, Callable[[], np.ndarray]]:
     """I at ``x`` with a callable for its gradient, in the contract of
-    ``_lbfgs_ascent``; the layouts go to the kernels. Along u_i the
-    gradient is (t_i + 2 r_i (D_i - I) psi_i) / |u_i|, with t_i the
-    tangent state gradient and D_i = D(p(.|i) || q). The second term,
-    equal to 2 (D_i - I) u_i / sum_k |u_k|^2, comes from the prior. The
-    gradient is orthogonal to ``x``, as I does not change with the scale
-    of u. The callable finishes it from this evaluation's own states,
-    priors, norms, probabilities, log-ratios and D_i, so it computes only
-    what I did not."""
-    v, r, norms = _polish_point(x, elements.shape[1])
-    probs = _channel_probs(v, elements, probs_layout)
+    ``_lbfgs_ascent``. Along u_i the gradient is
+    (t_i + 2 r_i (D_i - I) psi_i) / |u_i|, with t_i the tangent state
+    gradient and D_i = D(p(.|i) || q). The second term, equal to
+    2 (D_i - I) u_i / sum_k |u_k|^2, comes from the prior. The gradient is
+    orthogonal to ``x``, as I does not change with the scale of u. The
+    callable finishes it from this evaluation's own states, priors, norms,
+    probabilities, log-ratios and D_i, so it computes only what I did
+    not."""
+    v, r, norms = _polish_point(x, kernel.dim)
+    probs = _channel_probs(v, kernel)
     lr = _log_ratio(probs, r @ probs)
     d = np.add.reduce(probs * lr, axis=1)  # np.sum without its wrapper
     value = r @ d
 
     def grad() -> np.ndarray:
         radial = 2.0 * r * (d - value)
-        g = (_mi_gradient(v, r, elements, lr, weights_layout) + radial[:, None] * v) / norms[:, None]
+        g = (_mi_gradient(v, r, kernel, lr) + radial[:, None] * v) / norms[:, None]
         return g.view(float).ravel()
 
     return value, grad
 
 
 def _polish(
-    vectors: np.ndarray, prior: np.ndarray, elements: np.ndarray
+    vectors: np.ndarray, prior: np.ndarray, kernel: _Kernel
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Ascent of I over the ensemble ``vectors`` (m, D), ``prior`` (m,),
     in u_i = sqrt(r_i) psi_i.
@@ -313,13 +313,11 @@ def _polish(
     Over prior logits the curvature of member i scales with r_i; in u it
     is about 1/sum_k |u_k|^2 for every member, so one L-BFGS scale fits
     light and heavy members alike. A zero prior starts at sqrt(_TINY).
-    The kernels' element layouts are built once for the whole ascent.
     Returns the states, the priors and their rate, which is never below
     the starting rate.
     """
     x0 = (np.sqrt(np.maximum(prior, _TINY))[:, None] * vectors).view(float).ravel()
-    layouts = _probs_layout(elements), _weights_layout(elements)
-    x, value = _lbfgs_ascent(lambda x: _polish_fg(x, elements, *layouts), x0, POLISH_MAX_ITER)
+    x, value = _lbfgs_ascent(lambda x: _polish_fg(x, kernel), x0, POLISH_MAX_ITER)
     v, r, _ = _polish_point(x, vectors.shape[1])
     return v, r, float(value)
 
@@ -361,7 +359,7 @@ def _refit(probs: np.ndarray, prior: np.ndarray, tol: float) -> tuple[np.ndarray
 
 def _max_relative_entropy_states(
     q: np.ndarray,
-    elements: np.ndarray,
+    kernel: _Kernel,
     rng: np.random.Generator,
     n_init: int,
     extra: np.ndarray | None = None,
@@ -396,25 +394,25 @@ def _max_relative_entropy_states(
     Returns every start's final vector with its outcome probabilities and
     relative entropy (nats).
     """
-    dim = elements.shape[1]
+    dim = kernel.dim
     v = rng.standard_normal((n_init, dim)) + 1j * rng.standard_normal((n_init, dim))
-    tops = np.linalg.eigh(elements)[1][:, :, -1]
-    vectors = _normalize_rows(np.concatenate([v, tops] if extra is None else [v, extra, tops]))
-    probs = _channel_probs(vectors, elements)
+    starts = [v, kernel.tops] if extra is None else [v, extra, kernel.tops]
+    vectors = _normalize_rows(np.concatenate(starts))
+    probs = _channel_probs(vectors, kernel)
     lr = _log_ratio(probs, q)
     vals = np.sum(probs * lr, axis=1)
     live = np.arange(len(vectors))
     gains = np.zeros((len(vectors), 2))  # each start's last two accepted gains, older first
     for _ in range(PROBE_MAX_STEPS):
         cur = vectors[live]
-        jump = np.linalg.eigh(_weighted_elements(lr[live], elements))[1][:, :, -1]
+        jump = np.linalg.eigh(_weighted_elements(lr[live], kernel))[1][:, :, -1]
         jump *= np.exp(-1j * np.angle(np.sum(cur.conj() * jump, axis=1)))[:, None]
         g0, g1 = gains[live].T
         shrinking = (0.0 < g1) & (g1 < g0)
         rho = np.sqrt(np.divide(g1, g0, out=np.zeros_like(g1), where=shrinking))
         beta = np.divide(rho, 1.0 - rho, out=np.ones_like(rho), where=shrinking)
         trial = np.concatenate([jump, _normalize_rows(jump + beta[:, None] * (jump - cur))])
-        trial_probs = _channel_probs(trial, elements)
+        trial_probs = _channel_probs(trial, kernel)
         trial_lr = _log_ratio(trial_probs, q)
         trial_vals = np.sum(trial_probs * trial_lr, axis=1)
         n = live.size
@@ -454,7 +452,7 @@ class _RunOutcome:
     converged: bool
 
 
-def _run(elements: np.ndarray, seed: int, tol: float) -> _RunOutcome:
+def _run(kernel: _Kernel, seed: int, tol: float) -> _RunOutcome:
     """One seeded column-generation run, deterministic given the seed.
 
     It starts from D^2 random states (the Davies bound) at a uniform prior
@@ -469,11 +467,8 @@ def _run(elements: np.ndarray, seed: int, tol: float) -> _RunOutcome:
     already driven together, which moves the rate at roundoff level. Each
     probe starts from the current ensemble besides its random starts.
     """
-    dim = elements.shape[1]
-    # The refit leaves max_i D_i - I up to 0.1 * margin on the ensemble
-    # itself, so only an excess clearly above that is evidence of a
-    # violator.
-    margin = max(10.0 * tol, 1e-9)
+    dim = kernel.dim
+    margin = _margin(tol)
     n_probe = max(16, 8 * dim)
     # The child (0,) of the seed's sequence; the symmetric probe draws from its root.
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
@@ -482,12 +477,12 @@ def _run(elements: np.ndarray, seed: int, tol: float) -> _RunOutcome:
     prior = np.full(m, 1.0 / m)
     converged = False
     for round_ in range(1, MAX_ROUNDS + 1):
-        vectors, prior, value = _polish(vectors, prior, elements)
+        vectors, prior, value = _polish(vectors, prior, kernel)
         vectors, prior = _compact(vectors, prior)
-        probs = _channel_probs(vectors, elements)
+        probs = _channel_probs(vectors, kernel)
         prior, value = _refit(probs, prior, 0.1 * margin)
         cand_vectors, cand_probs, cand_vals = _max_relative_entropy_states(
-            prior @ probs, elements, rng, n_probe, vectors)
+            prior @ probs, kernel, rng, n_probe, vectors)
         best = int(np.argmax(cand_vals))
         if cand_vals[best] <= value + margin:
             converged = True
@@ -564,9 +559,10 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None) -> PowerReport:
     The D = 1 and one-element POVMs certify too.
     """
     cfg = cfg or SolverConfig()
-    run = _run(p.elements, cfg.seed, cfg.tol)
+    kernel = _Kernel(p.elements)
+    run = _run(kernel, cfg.seed, cfg.tol)
     vectors, prior = _compact(run.vectors, run.priors)
-    prior, _ = _refit(_channel_probs(vectors, p.elements), prior, INNER_BA_TOL)
+    prior, _ = _refit(_channel_probs(vectors, kernel), prior, INNER_BA_TOL)
     return _power_report(p, vectors, prior, cfg.base, converged=run.converged,
                          iterations_used=run.iterations, fast_path_used=False,
                          per_restart_values=(cfg.base.from_nats(run.value_nats),))
@@ -585,7 +581,7 @@ def commuting_fast_path(p: Povm, tol: float = 1e-12, base: LogBase = LogBase.BIT
     any element; otherwise this raises NotCommuting.
     """
     basis = linalg.simultaneous_eigenbasis(p.elements)
-    res = blahut_arimoto(_stochastic(_channel_probs(basis.T, p.elements)), tol=tol, base=base)
+    res = blahut_arimoto(_stochastic(_channel_probs(basis.T, _Kernel(p.elements))), tol=tol, base=base)
     return _power_report(p, basis.T, res.optimal_prior.probs, base, converged=res.converged,
                          iterations_used=res.iterations, fast_path_used=True)
 
@@ -614,13 +610,13 @@ def _symmetric_power(p: Povm, cfg: SolverConfig) -> PowerReport | None:
     fewer starts can leave a maximum short of the margin. The report
     counts one iteration and one value.
     """
-    elements, dim = p.elements, p.dim
-    margin = max(10.0 * cfg.tol, 1e-9)
-    q0 = np.trace(elements, axis1=1, axis2=2).real / dim
+    kernel, dim = _Kernel(p.elements), p.dim
+    margin = _margin(cfg.tol)
+    q0 = np.trace(p.elements, axis1=1, axis2=2).real / dim
     for n_init in (max(16, 8 * dim), max(64, 8 * dim * dim)):
         # The root of the seed's sequence: the generic run draws from its child (0,).
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
-        vectors, _, vals = _max_relative_entropy_states(q0, elements, rng, n_init)
+        vectors, _, vals = _max_relative_entropy_states(q0, kernel, rng, n_init)
         best = float(vals.max())
         # Best first, so that _compact folds each state into its best copy.
         near = np.flatnonzero(vals >= best - margin)
@@ -629,7 +625,7 @@ def _symmetric_power(p: Povm, cfg: SolverConfig) -> PowerReport | None:
         if len(vectors) == 1 and best > margin:
             return None  # one state has rate 0
     m = len(vectors)
-    r, rate = _refit(_channel_probs(vectors, elements), np.full(m, 1.0 / m), 0.1 * margin)
+    r, rate = _refit(_channel_probs(vectors, kernel), np.full(m, 1.0 / m), 0.1 * margin)
     if best - rate > margin:
         return None
     return _power_report(p, vectors, r, cfg.base, converged=True, iterations_used=1,
@@ -674,8 +670,9 @@ def state_gradient(e: Ensemble, p: Povm) -> list[np.ndarray]:
     if e.dim != p.dim:
         raise ValueError(f"ensemble dim {e.dim} vs POVM dim {p.dim}")
     vectors = _pure_vectors(e)
-    probs = _channel_probs(vectors, p.elements)
-    g = _mi_gradient(vectors, e.priors, p.elements, _log_ratio(probs, e.priors @ probs))
+    kernel = _Kernel(p.elements)
+    probs = _channel_probs(vectors, kernel)
+    g = _mi_gradient(vectors, e.priors, kernel, _log_ratio(probs, e.priors @ probs))
     return [g[i] for i in range(g.shape[0])]
 
 

@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from infopower import serialize
+from infopower import cli, serialize
 from infopower.cli import main
-from infopower.objects import random_povm, tetrahedral_sic_povm, trine_povm
+from infopower.objects import Povm, random_povm, tetrahedral_sic_povm, trine_povm
 
 from helpers import HESSE_W_BITS, SIC_W_BITS, h2
 
@@ -69,6 +69,14 @@ def test_validate_missing_file_exit_2(capsys):
 def test_validate_requires_some_input(capsys):
     code, _, err = run_cli(capsys, "validate")
     assert code != 0
+
+
+def test_examples_keep_their_names_and_order():
+    assert cli.EXAMPLES == ("sic", "hesse", "projective2", "projective3", "trine", "trivial")
+    for name in cli.EXAMPLES:
+        assert isinstance(cli.example_povm(name), Povm)
+    with pytest.raises(ValueError, match="unknown example 'nope'"):
+        cli.example_povm("nope")
 
 
 # ---------------------------------------------------------------------------

@@ -395,7 +395,7 @@ def test_restart_history_is_monotone(monkeypatch):
     runs = [(povm, seed) for povm in (trine_povm(), sic) for seed in range(4)]
     for povm, seed in [*runs, (tensor_power(sic, 2), 0)]:
         rates.clear()
-        out = solver._run(povm.elements, seed, 1e-9)
+        out = solver._run(solver._Kernel(povm.elements), seed, 1e-9)
         assert len(rates) == 2 * out.iterations
         assert np.all(np.diff(rates) >= -1e-12), "the rate must not decrease"
 
@@ -404,7 +404,7 @@ def test_restart_value_is_soundly_recomputable():
     """Per-run lower-bound soundness against an independent MI formula."""
     p = tetrahedral_sic_povm()
     for seed in range(3):
-        out = solver._run(p.elements, seed, 1e-9)
+        out = solver._run(solver._Kernel(p.elements), seed, 1e-9)
         independent = mi_bits_pure(out.priors, out.vectors, p.elements) * LN2
         assert out.value_nats == pytest.approx(independent, abs=1e-12)
 
@@ -412,25 +412,26 @@ def test_restart_value_is_soundly_recomputable():
 def test_polish_reports_the_rate_of_its_result():
     p = random_povm(3, 5, seed=1)
     vectors = random_pure_states(3, 9, seed=7)
-    v, r, rate = solver._polish(vectors, np.full(9, 1 / 9), p.elements)
-    assert rate == channel_mutual_information_nats(r, solver._channel_probs(v, p.elements))
+    kernel = solver._Kernel(p.elements)
+    v, r, rate = solver._polish(vectors, np.full(9, 1 / 9), kernel)
+    assert rate == channel_mutual_information_nats(r, solver._channel_probs(v, kernel))
 
 
 def test_polish_gradient_matches_central_differences():
     """The gradient in u_i = sqrt(r_i) psi_i, at two points of six members;
     I does not change with the scale of u, so the gradient is orthogonal
     to the point."""
-    p = random_povm(4, 8, seed=2)
+    kernel = solver._Kernel(random_povm(4, 8, seed=2).elements)
     rng = np.random.default_rng(5)
     for x in rng.standard_normal((2, 2 * 6 * 4)):
-        g = solver._polish_fg(x, p.elements)[1]()
+        g = solver._polish_fg(x, kernel)[1]()
         h = 1e-6
         fd = np.empty_like(x)
         for k in range(len(x)):
             e = np.zeros(len(x))
             e[k] = h
-            fd[k] = (solver._polish_fg(x + e, p.elements)[0]
-                     - solver._polish_fg(x - e, p.elements)[0]) / (2 * h)
+            fd[k] = (solver._polish_fg(x + e, kernel)[0]
+                     - solver._polish_fg(x - e, kernel)[0]) / (2 * h)
         assert np.max(np.abs(fd - g)) <= 1e-8
         assert abs(np.sum(x * g)) <= 1e-12
 
@@ -440,11 +441,11 @@ def test_polish_takes_zero_priors():
     further; the polish must still return finite unit states and priors,
     without a RuntimeWarning, at a rate no lower than the start's."""
     for seed in range(30):
-        p = random_povm(3, 6, seed=seed)
+        kernel = solver._Kernel(random_povm(3, 6, seed=seed).elements)
         vectors = random_pure_states(3, 9, seed=seed)
         prior = np.array([1 / 6] * 6 + [0.0] * 3)
-        start = channel_mutual_information_nats(prior, solver._channel_probs(vectors, p.elements))
-        v, r, rate = solver._polish(vectors, prior, p.elements)
+        start = channel_mutual_information_nats(prior, solver._channel_probs(vectors, kernel))
+        v, r, rate = solver._polish(vectors, prior, kernel)
         assert np.all(np.isfinite(v)) and np.all(np.isfinite(r))
         assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0.0, atol=1e-12)
         assert rate >= start
@@ -472,7 +473,8 @@ def test_polish_matches_the_eager_ascent(monkeypatch, name):
     polish driven by an ascent that takes (f, grad f) at every trial point
     returns equal states, priors and rate."""
     p, vectors, prior = POLISH_INPUTS[name]()
-    lazy = solver._polish(vectors, prior, p.elements)
+    kernel = solver._Kernel(p.elements)
+    lazy = solver._polish(vectors, prior, kernel)
 
     def eager(fg, x, max_iter):
         def fg_eager(y):
@@ -482,7 +484,7 @@ def test_polish_matches_the_eager_ascent(monkeypatch, name):
         return eager_lbfgs_ascent(fg_eager, x, max_iter, solver._lbfgs_direction, solver.LBFGS_MEMORY)
 
     monkeypatch.setattr(solver, "_lbfgs_ascent", eager)
-    reference = solver._polish(vectors, prior, p.elements)
+    reference = solver._polish(vectors, prior, kernel)
     assert np.array_equal(lazy[0], reference[0])
     assert np.array_equal(lazy[1], reference[1])
     assert lazy[2] == reference[2]
@@ -514,7 +516,7 @@ def test_polish_computes_the_gradient_once_per_step(monkeypatch, name):
 
     monkeypatch.setattr(solver, "_polish_fg", counted_fg)
     monkeypatch.setattr(solver, "_lbfgs_direction", counted_direction)
-    solver._polish(vectors, prior, p.elements)
+    solver._polish(vectors, prior, solver._Kernel(p.elements))
     steps = counts["direction"] - 1
     assert counts["grad"] == steps + 1
     assert counts["f"] >= steps + 1 + 40
@@ -539,11 +541,11 @@ def test_first_polish_ends_well_before_its_cap(monkeypatch):
         return ascent(fg_counted, x, max_iter)
 
     monkeypatch.setattr(solver, "_lbfgs_ascent", counted)
-    p = random_povm(4, 8, seed=2)
+    kernel = solver._Kernel(random_povm(4, 8, seed=2).elements)
     first = []
     for seed in range(20):
         ticks.clear()
-        solver._run(p.elements, seed, 1e-9)
+        solver._run(kernel, seed, 1e-9)
         first.append(ticks[0])
     assert max(first) <= 300
 
@@ -554,15 +556,46 @@ def test_kernels_match_their_einsum_references(rows):
     <psi_i|Pi_j|psi_i> and H_i = sum_j lr_ij Pi_j."""
     povm = random_povm(4, 8, seed=2)
     elements = povm.elements
+    kernel = solver._Kernel(elements)
     vectors = random_pure_states(povm.dim, rows, seed=3)
-    probs = solver._channel_probs(vectors, elements)
+    probs = solver._channel_probs(vectors, kernel)
     reference = np.einsum("ia,jab,ib->ij", vectors.conj(), elements, vectors).real
     assert probs.shape == (rows, 8)
     assert np.max(np.abs(probs - reference)) <= 1e-14
     lr = np.log(probs + 0.1)
-    h = solver._weighted_elements(lr, elements)
+    h = solver._weighted_elements(lr, kernel)
     assert h.shape == (rows, 4, 4)
     assert np.max(np.abs(h - np.tensordot(lr, elements, 1))) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "make, solve, calls",
+    [
+        pytest.param(lambda: tensor_power(tetrahedral_sic_povm(), 2), see_saw_power, 1, id="sic2-generic"),
+        pytest.param(hesse_sic_povm, informational_power, 1, id="hesse-symmetric"),
+        pytest.param(lambda: standard_projective_povm(3), informational_power, 0, id="projective3"),
+    ],
+)
+def test_element_stack_is_diagonalized_once_per_kernel(make, solve, calls, monkeypatch):
+    """Every probe starts from the elements' top eigenvectors, which one
+    solve computes once: SIC(x)SIC's generic run probes once per round,
+    the Hesse SIC's symmetric path probes twice, and the commuting path
+    never diagonalizes the elements at all."""
+    p = make()
+    eigh = np.linalg.eigh
+    seen = []
+
+    def spy(a, *args, **kwargs):
+        if np.shape(a) == p.elements.shape and np.array_equal(a, p.elements):
+            seen.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    rep = solve(p)
+    assert len(seen) == calls
+    assert rep.converged
+    if solve is see_saw_power:
+        assert rep.iterations_used > 1
 
 
 def _assert_same_run(alone, together) -> None:
@@ -582,9 +615,10 @@ def test_restart_does_not_depend_on_the_runs_before_it(povm):
     """The seed alone decides a run: over seeds in reverse order, each run
     is exactly the run it is in order, and see_saw_power reports the value
     of the run at its seed."""
-    in_order = [solver._run(povm.elements, seed, 1e-9) for seed in range(6)]
+    kernel = solver._Kernel(povm.elements)
+    in_order = [solver._run(kernel, seed, 1e-9) for seed in range(6)]
     for seed in reversed(range(6)):
-        _assert_same_run(solver._run(povm.elements, seed, 1e-9), in_order[seed])
+        _assert_same_run(solver._run(kernel, seed, 1e-9), in_order[seed])
         values = see_saw_power(povm, SolverConfig(seed=seed)).per_restart_values
         assert values == (LogBase.BITS.from_nats(in_order[seed].value_nats),)
 
@@ -630,7 +664,8 @@ def test_certified_restarts_sit_within_the_margin_of_the_best():
     seeds 0-19 found; one stopped on another's probe would fall short."""
     p = random_povm(4, 8, seed=2)
     tol = 1e-9
-    outcomes = [solver._run(p.elements, seed, tol) for seed in range(20)]
+    kernel = solver._Kernel(p.elements)
+    outcomes = [solver._run(kernel, seed, tol) for seed in range(20)]
     best = max(o.value_nats for o in outcomes)
     for o in outcomes:
         if o.converged:
@@ -643,7 +678,7 @@ def test_an_uncertified_run_is_reported_as_it_stands(monkeypatch):
     and rounds."""
     monkeypatch.setattr(solver, "MAX_ROUNDS", 1)
     p = tensor_power(tetrahedral_sic_povm(), 2)
-    run = solver._run(p.elements, 0, 1e-9)
+    run = solver._run(solver._Kernel(p.elements), 0, 1e-9)
     rep = see_saw_power(p)
     assert not run.converged
     assert rep.converged is False
@@ -759,11 +794,12 @@ def test_symmetric_fold_keeps_the_best_copy_of_each_maximum(monkeypatch):
     index, once stopped a little below it, still within the margin and
     within the fold overlap. The fold must keep the exact copy."""
     p = tetrahedral_sic_povm()
+    kernel = solver._Kernel(p.elements)
     q0 = np.full(4, 0.25)
     anti = np.linalg.eigh(p.elements)[1][:, :, 0]
 
     def values(vectors):
-        probs = solver._channel_probs(vectors, p.elements)
+        probs = solver._channel_probs(vectors, kernel)
         return probs, np.sum(probs * solver._log_ratio(probs, q0), axis=1)
 
     # D falls quadratically away from a maximum: scale the step to a 5e-9 nat loss
@@ -790,11 +826,11 @@ def _q0_probes(p, monkeypatch):
     probe = solver._max_relative_entropy_states
     starts = []
 
-    def spy(q, elements, rng, n_init, extra=None):
+    def spy(q, kernel, rng, n_init, extra=None):
         if extra is None:
             assert np.array_equal(q, q0)
             starts.append(n_init)
-        return probe(q, elements, rng, n_init, extra)
+        return probe(q, kernel, rng, n_init, extra)
 
     monkeypatch.setattr(solver, "_max_relative_entropy_states", spy)
     return informational_power(p), starts
@@ -832,7 +868,7 @@ def test_sic_probe_maxima_at_the_uniform_output_are_the_anti_aligned_states():
     p = tetrahedral_sic_povm()
     directions = np.linalg.eigh(p.elements)[1][:, :, -1]
     vectors, _, vals = solver._max_relative_entropy_states(
-        np.full(4, 0.25), p.elements, np.random.default_rng(0), 64)
+        np.full(4, 0.25), solver._Kernel(p.elements), np.random.default_rng(0), 64)
     assert vals.max() == pytest.approx(np.log(4.0 / 3.0), abs=1e-12)
     near = vals >= vals.max() - 1e-8
     folded, _ = solver._compact(vectors[near], np.full(near.sum(), 1.0 / near.sum()))
@@ -862,16 +898,17 @@ def test_probe_reaches_the_plain_climb(povm, q0_probes, monkeypatch):
     at each of seeds 0-2, the best value must come within 1e-10 nats of
     every start climbing PROBE_MAX_STEPS steps with no early exit."""
     runs = [(lambda: solver._symmetric_power(povm, SolverConfig()), k) for k in range(q0_probes)]
-    runs += [(lambda seed=seed: solver._run(povm.elements, seed, 1e-9), 0) for seed in range(3)]
+    kernel = solver._Kernel(povm.elements)
+    runs += [(lambda seed=seed: solver._run(kernel, seed, 1e-9), 0) for seed in range(3)]
     probe = solver._max_relative_entropy_states
     for run, k in runs:
         seen = {}
         calls = []
 
-        def capture(q, elements, rng, n_init, extra=None):
+        def capture(q, kern, rng, n_init, extra=None):
             calls.append(n_init)
             if len(calls) <= k:
-                return probe(q, elements, rng, n_init, extra)
+                return probe(q, kern, rng, n_init, extra)
             seen.update(q=q.copy(), rng=copy.deepcopy(rng), n_init=n_init,
                         extra=None if extra is None else extra.copy())
             raise _Captured
@@ -881,7 +918,7 @@ def test_probe_reaches_the_plain_climb(povm, q0_probes, monkeypatch):
             with pytest.raises(_Captured):
                 run()
         q, n_init, extra, rng = seen["q"], seen["n_init"], seen["extra"], seen["rng"]
-        _, _, vals = solver._max_relative_entropy_states(q, povm.elements, copy.deepcopy(rng), n_init, extra)
+        _, _, vals = solver._max_relative_entropy_states(q, kernel, copy.deepcopy(rng), n_init, extra)
         z = rng.standard_normal((n_init, povm.dim)) + 1j * rng.standard_normal((n_init, povm.dim))
         tops = np.linalg.eigh(povm.elements)[1][:, :, -1]
         starts = [z, tops] if extra is None else [z, extra, tops]
