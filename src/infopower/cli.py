@@ -89,8 +89,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "kind": "validation",
             "passed": report.passed,
             "tol": report.tol,
-            "hermiticity_residuals": list(report.hermiticity_residuals),
-            "psd_residuals": list(report.psd_residuals),
+            "hermiticity_residuals": np.array(report.hermiticity_residuals, dtype=float),
+            "psd_residuals": np.array(report.psd_residuals, dtype=float),
             "completeness_residual": report.completeness_residual,
         }
     )

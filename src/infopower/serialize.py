@@ -4,14 +4,15 @@ Complex numbers are encoded as two-element arrays [re, im]; matrices are
 row-major nested arrays; every document carries an explicit "kind" tag so
 files cannot be fed to the wrong subcommand. Floats rely on Python's
 shortest round-trip repr, so writing and re-reading a document reproduces
-every double bit-exactly.
+every double bit-exactly, signed zeros included.
 
-``dumps`` writes exactly the bytes of ``json.dumps(doc, indent=2,
-sort_keys=True) + "\n"``, but lays out the indentation itself. Before
-Python 3.13, CPython uses its C encoder only when ``indent`` is None, so
-json's own indented output runs the pure-Python encoder token by token;
-here every scalar, key and rectangular numeric list goes through one
-compact C encoder, and only the line breaks are added in Python.
+A document built here holds each numeric block as a fresh float array;
+one read from disk holds nested lists, and the readers take either.
+``dumps`` writes exactly ``json.dumps(doc, indent=2, sort_keys=True,
+default=np.ndarray.tolist) + "\n"``. Before Python 3.13 json's indented
+output runs the pure-Python encoder token by token; ``dumps`` sends each
+key, scalar and array's flat leaves through the C encoder and lays out
+the line breaks from the array's own shape.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ def encode_complex(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
+def encode_matrix(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], axis=-1).tolist()
+    return np.stack([m.real, m.imag], axis=-1)
 
 
 def decode_matrix(node: Any, dim: int, what: str) -> np.ndarray:
@@ -57,7 +58,8 @@ def _decode_complex(node: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
     m = _decode_floats(node, what)
     if m.shape != (*shape, 2):
         raise SchemaError(f"{what}: expected complex entries of shape {shape}, got shape {m.shape}")
-    return m[..., 0] + 1j * m[..., 1]
+    # a copy of the [re, im] pairs viewed as complex: re + 1j*im would turn a -0.0 part into +0.0
+    return np.array(m, order="C").view(complex)[..., 0]
 
 
 def _decode_floats(node: Any, what: str) -> np.ndarray:
@@ -69,6 +71,12 @@ def _decode_floats(node: Any, what: str) -> np.ndarray:
     if not np.isfinite(m).all():
         raise SchemaError(f"{what}: non-finite numbers")
     return m
+
+
+def _length(node: Any) -> int:
+    """The length of a list or of an array of rank >= 1, else 0."""
+    is_sequence = isinstance(node, list) or (isinstance(node, np.ndarray) and node.ndim > 0)
+    return len(node) if is_sequence else 0
 
 
 def _require(doc: Any, key: str, what: str) -> Any:
@@ -107,7 +115,7 @@ def povm_elements_from_document(doc: dict) -> np.ndarray:
     _check_kind(doc, KIND_POVM, "povm file")
     dim = _dim_of(doc, "povm file")
     nodes = _require(doc, "elements", "povm file")
-    if not isinstance(nodes, list) or not nodes:
+    if not _length(nodes):
         raise SchemaError("povm file: elements must be a non-empty list")
     return _decode_complex(nodes, (len(nodes), dim, dim), "povm file elements")
 
@@ -122,9 +130,9 @@ def ensemble_from_document(doc: dict) -> Ensemble:
     dim = _dim_of(doc, "ensemble file")
     priors = _require(doc, "priors", "ensemble file")
     nodes = _require(doc, "states", "ensemble file")
-    if not isinstance(nodes, list) or not nodes:
+    if not _length(nodes):
         raise SchemaError("ensemble file: states must be a non-empty list")
-    if not isinstance(priors, list) or len(priors) != len(nodes):
+    if _length(priors) != len(nodes):
         raise SchemaError("ensemble file: priors and states must have equal length")
     p = _decode_floats(priors, "ensemble file priors")
     return Ensemble(p, _decode_complex(nodes, (len(nodes), dim, dim), "ensemble file states"))
@@ -156,7 +164,7 @@ def ensemble_to_document(e: Ensemble) -> dict:
     return {
         "kind": KIND_ENSEMBLE,
         "dim": e.dim,
-        "priors": e.priors.tolist(),
+        "priors": np.array(e.priors, dtype=float),
         "states": encode_matrix(e.states),
     }
 
@@ -166,7 +174,7 @@ def state_to_document(rho: DensityOperator) -> dict:
 
 
 def channel_to_document(ch: ClassicalChannel) -> dict:
-    return {"kind": KIND_CHANNEL, "probs": ch.probs.tolist()}
+    return {"kind": KIND_CHANNEL, "probs": np.array(ch.probs, dtype=float)}
 
 
 def report_to_document(rep: PowerReport) -> dict:
@@ -189,7 +197,7 @@ def capacity_to_document(res: BlahutArimotoResult, base_name: str) -> dict:
         "kind": "capacity",
         "capacity": float(res.capacity),
         "base": base_name,
-        "optimal_prior": res.optimal_prior.probs.tolist(),
+        "optimal_prior": np.array(res.optimal_prior.probs, dtype=float),
         "converged": bool(res.converged),
         "iterations": int(res.iterations),
         "gap": float(res.gap),
@@ -199,10 +207,10 @@ def capacity_to_document(res: BlahutArimotoResult, base_name: str) -> dict:
 def dumps(doc: dict) -> str:
     """Deterministic serialization: sorted keys, two-space indent.
 
-    The result equals ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``
-    byte for byte; dict keys must be strings. Before Python 3.13 json
-    drops its C encoder whenever ``indent`` is set, which made writing a
-    large POVM slower than computing it.
+    The result equals ``json.dumps(doc, indent=2, sort_keys=True,
+    default=np.ndarray.tolist) + "\n"`` byte for byte; keys must be str.
+    Before Python 3.13 json drops its C encoder whenever ``indent`` is
+    set, which made writing a large POVM slower than computing it.
     """
     return _layout_value(doc, "\n") + "\n"
 
@@ -219,26 +227,17 @@ def _layout_value(node: Any, newline: str) -> str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             items.append(_encode(key) + ": " + _layout_value(node[key], inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(node, np.ndarray):
+        if node.ndim and node.size and node.dtype.kind in "biuf":
+            # one C encode of the flat leaves; no number, true or false holds a comma
+            leaves = _encode(node.ravel().tolist())[1:-1].split(",")
+            return _array_layout(node.shape, newline) % tuple(leaves)
+        node = node.tolist()
     if isinstance(node, (list, tuple)) and node:
-        shape = _numeric_shape(node)
-        if shape is None:
-            inner = newline + "  "
-            items = [_layout_value(item, inner) for item in node]
-            return "[" + inner + ("," + inner).join(items) + newline + "]"
-        # one compact C encode; its leaves are numbers, true or false,
-        # so no leaf holds a bracket or a comma
-        leaves = _encode(node).translate(str.maketrans("", "", "[]")).split(",")
-        return _array_layout(shape, newline) % tuple(leaves)
+        inner = newline + "  "
+        items = [_layout_value(item, inner) for item in node]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     return _encode(node)
-
-
-def _numeric_shape(node: list | tuple) -> tuple[int, ...] | None:
-    """Shape of a rectangular, non-empty list of bools, ints or floats."""
-    try:
-        a = np.asarray(node)
-    except ValueError:  # ragged
-        return None
-    return a.shape if a.size and a.dtype.kind in "biuf" else None
 
 
 def _array_layout(shape: tuple[int, ...], newline: str) -> str:

@@ -558,8 +558,11 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None) -> PowerReport:
     - 6 large POVMs: rand(12,24), rand(8,128) and rand(16,32), seeds 0-1.
     The D = 1 and one-element POVMs certify too.
     """
-    cfg = cfg or SolverConfig()
-    kernel = _Kernel(p.elements)
+    return _generic_power(p, _Kernel(p.elements), cfg or SolverConfig())
+
+
+def _generic_power(p: Povm, kernel: _Kernel, cfg: SolverConfig) -> PowerReport:
+    """``see_saw_power`` on the kernel of ``p`` that the caller built."""
     run = _run(kernel, cfg.seed, cfg.tol)
     vectors, prior = _compact(run.vectors, run.priors)
     prior, _ = _refit(_channel_probs(vectors, kernel), prior, INNER_BA_TOL)
@@ -586,7 +589,7 @@ def commuting_fast_path(p: Povm, tol: float = 1e-12, base: LogBase = LogBase.BIT
                          iterations_used=res.iterations, fast_path_used=True)
 
 
-def _symmetric_power(p: Povm, cfg: SolverConfig) -> PowerReport | None:
+def _symmetric_power(p: Povm, kernel: _Kernel, cfg: SolverConfig) -> PowerReport | None:
     """W certified with one probe at the maximally mixed output, or None.
 
     The dual form gives W <= M0 = max_psi D(P(.|psi) || q0) for any q0,
@@ -610,7 +613,7 @@ def _symmetric_power(p: Povm, cfg: SolverConfig) -> PowerReport | None:
     fewer starts can leave a maximum short of the margin. The report
     counts one iteration and one value.
     """
-    kernel, dim = _Kernel(p.elements), p.dim
+    dim = p.dim
     margin = _margin(cfg.tol)
     q0 = np.trace(p.elements, axis1=1, axis2=2).real / dim
     for n_init in (max(16, 8 * dim), max(64, 8 * dim * dim)):
@@ -655,7 +658,9 @@ def informational_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1)
     try:
         return commuting_fast_path(p, tol=min(INNER_BA_TOL, cfg.tol) * unit_per_bit, base=cfg.base)
     except NotCommuting:
-        return _symmetric_power(p, cfg) or see_saw_power(p, cfg)
+        # one kernel for both certificates: the probes share its top eigenvectors
+        kernel = _Kernel(p.elements)
+        return _symmetric_power(p, kernel, cfg) or _generic_power(p, kernel, cfg)
 
 
 def state_gradient(e: Ensemble, p: Povm) -> list[np.ndarray]:

@@ -32,7 +32,7 @@ def test_complex_encoding_is_bit_exact(re, im):
 def test_matrix_round_trip_bit_exact(seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    node = json.loads(json.dumps(serialize.encode_matrix(m)))
+    node = json.loads(json.dumps(serialize.encode_matrix(m).tolist()))
     back = serialize.decode_matrix(node, 3, "matrix")
     assert np.array_equal(back, m)
 
@@ -46,10 +46,14 @@ def test_encode_matrix_matches_per_entry_encoding():
 
 
 def test_awkward_doubles_survive_json():
-    m = np.array([[0.1, 1.0 / 3.0], [math.pi, 5e-324]], dtype=complex)
+    m = np.array([[0.1, 1.0 / 3.0, math.pi], [5e-324, 1.0, 1.0], [1.0, 1.0, 0.0]], dtype=complex)
     m[0, 0] += 1e-300j
+    # signed zeros, which re + 1j*im would turn into +0.0
+    m[1, 1], m[1, 2], m[2, 0] = complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0)
     node = json.loads(serialize.dumps({"m": serialize.encode_matrix(m)}))["m"]
-    assert np.array_equal(serialize.decode_matrix(node, 2, "m"), m)
+    back = serialize.decode_matrix(node, 3, "m")
+    assert np.array_equal(back, m)
+    assert np.array_equal(np.signbit(back.view(float)), np.signbit(m.view(float)))
 
 
 def test_povm_document_round_trip():
@@ -61,11 +65,12 @@ def test_povm_document_round_trip():
 
 def test_ensemble_document_round_trip():
     e = anti_tetrahedral_ensemble()
-    doc = json.loads(serialize.dumps(serialize.ensemble_to_document(e)))
-    back = serialize.ensemble_from_document(doc)
-    assert np.array_equal(back.priors, e.priors)
-    for a, b in zip(back.states, e.states):
-        assert np.array_equal(a, b)
+    doc = serialize.ensemble_to_document(e)
+    # the in-memory document holds arrays, the parsed one nested lists
+    for back in (serialize.ensemble_from_document(doc),
+                 serialize.ensemble_from_document(json.loads(serialize.dumps(doc)))):
+        assert np.array_equal(back.priors, e.priors)
+        assert np.array_equal(back.states, e.states)
 
 
 def test_state_document_round_trip():
@@ -101,6 +106,12 @@ def test_missing_and_malformed_fields_raise_schema_error():
         )
     with pytest.raises(SchemaError):
         serialize.decode_matrix([[[1.0], [0.0, 0.0]]], 1, "m")
+    # an array of rank 0 is no list of elements, states or priors
+    with pytest.raises(SchemaError):
+        serialize.povm_elements_from_document({"kind": "povm", "dim": 1, "elements": np.array(1.0)})
+    ens = serialize.ensemble_to_document(anti_tetrahedral_ensemble())
+    with pytest.raises(SchemaError):
+        serialize.ensemble_from_document({**ens, "priors": np.array(1.0)})
 
 
 def test_load_document_errors(tmp_path):
@@ -182,7 +193,7 @@ def test_decode_matrix_rejects_nonfinite():
 
 
 def json_reference(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
 AWKWARD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]
@@ -213,7 +224,29 @@ def rectangular_lists(draw):
     return build(shape)
 
 
-json_leaves = st.none() | numbers | awkward_text | rectangular_lists()
+ARRAY_DTYPES = [np.bool_, np.int8, np.int64, np.uint8, np.uint64, np.float16, np.float32, np.float64]
+
+
+@st.composite
+def arrays(draw):
+    """ndarrays of rank 0 to 3, size 0 included, C-ordered or transposed."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    dtype = np.dtype(draw(st.sampled_from(ARRAY_DTYPES)))
+    size = int(np.prod(shape))
+    if dtype.kind == "f":
+        leaves = st.floats(width=64) | st.sampled_from(AWKWARD_FLOATS)
+    elif dtype.kind == "b":
+        leaves = st.booleans()
+    else:
+        info = np.iinfo(dtype)
+        leaves = st.integers(int(info.min), int(info.max))
+    values = draw(st.lists(leaves, min_size=size, max_size=size))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # doubles cast to float16/32
+        a = np.array(values, dtype=dtype).reshape(shape)
+    return a.T if draw(st.booleans()) else a
+
+
+json_leaves = st.none() | numbers | awkward_text | rectangular_lists() | arrays()
 json_values = st.recursive(
     json_leaves,
     lambda inner: st.lists(inner, max_size=4)
@@ -248,6 +281,12 @@ def test_dumps_matches_json_on_any_document(doc):
         AWKWARD_FLOATS,
         {},
         [],
+        np.array(AWKWARD_FLOATS),
+        np.zeros((2, 0, 3)),
+        np.array(-0.0),
+        np.arange(6.0).reshape(2, 3).T,
+        np.array(["a", "],"]),
+        np.array([1.0, [2.0, 3.0]], dtype=object),
     ],
 )
 def test_dumps_matches_json_on_traps(value):

@@ -573,14 +573,16 @@ def test_kernels_match_their_einsum_references(rows):
     [
         pytest.param(lambda: tensor_power(tetrahedral_sic_povm(), 2), see_saw_power, 1, id="sic2-generic"),
         pytest.param(hesse_sic_povm, informational_power, 1, id="hesse-symmetric"),
+        pytest.param(lambda: random_povm(4, 8, seed=2), informational_power, 1, id="rand4x8-screened"),
         pytest.param(lambda: standard_projective_povm(3), informational_power, 0, id="projective3"),
     ],
 )
 def test_element_stack_is_diagonalized_once_per_kernel(make, solve, calls, monkeypatch):
     """Every probe starts from the elements' top eigenvectors, which one
     solve computes once: SIC(x)SIC's generic run probes once per round,
-    the Hesse SIC's symmetric path probes twice, and the commuting path
-    never diagonalizes the elements at all."""
+    the Hesse SIC's symmetric path probes twice, rand4x8's screen and its
+    generic run share one kernel, and the commuting path never
+    diagonalizes the elements at all."""
     p = make()
     eigh = np.linalg.eigh
     seen = []
@@ -773,7 +775,7 @@ def test_symmetric_path_agrees_with_the_generic_solver_on_rotated_covariant_povm
     u = random_unitary(base.dim, np.random.default_rng(seed))
     p = Povm(u @ base.elements @ u.conj().T)
     cfg = SolverConfig(seed=seed)
-    sym = solver._symmetric_power(p, cfg)
+    sym = solver._symmetric_power(p, solver._Kernel(p.elements), cfg)
     assert sym is not None and _is_symmetric_report(sym)
     assert sym.w_estimate == pytest.approx(see_saw_power(p, cfg).w_estimate, abs=1e-9)
 
@@ -784,7 +786,8 @@ def test_symmetric_reports_of_rotated_covariant_povms_hit_the_closed_form(name):
     exact = {"sic": SIC_W_BITS, "trine": TRINE_W_BITS, "hesse": HESSE_W_BITS}[name]
     for seed in range(25):
         u = random_unitary(base.dim, np.random.default_rng(seed))
-        rep = solver._symmetric_power(Povm(u @ base.elements @ u.conj().T), SolverConfig(seed=seed))
+        p = Povm(u @ base.elements @ u.conj().T)
+        rep = solver._symmetric_power(p, solver._Kernel(p.elements), SolverConfig(seed=seed))
         assert rep is not None and _is_symmetric_report(rep), seed
         assert rep.w_estimate == pytest.approx(exact, abs=1e-12), seed
 
@@ -813,7 +816,7 @@ def test_symmetric_fold_keeps_the_best_copy_of_each_maximum(monkeypatch):
     assert np.abs(below[0].conj() @ anti[0]) ** 2 > 1.0 - solver.MERGE_OVERLAP_TOL
 
     monkeypatch.setattr(solver, "_max_relative_entropy_states", lambda *args: (vectors, probs, vals))
-    rep = solver._symmetric_power(p, SolverConfig())
+    rep = solver._symmetric_power(p, kernel, SolverConfig())
     assert rep is not None and _is_symmetric_report(rep)
     assert rep.w_estimate == pytest.approx(SIC_W_BITS, abs=1e-12)
 
@@ -848,7 +851,7 @@ def test_symmetric_path_falls_through_on_random_povms(dim, outcomes, povm_seed, 
     random POVM away, and the report is the generic solver's."""
     p = random_povm(dim, outcomes, seed=povm_seed)
     cfg = SolverConfig(seed=0)
-    assert solver._symmetric_power(p, cfg) is None
+    assert solver._symmetric_power(p, solver._Kernel(p.elements), cfg) is None
     rep, starts = _q0_probes(p, monkeypatch)
     assert starts == [max(16, 8 * dim)]
     assert _report_bytes(rep) == _report_bytes(see_saw_power(p, cfg))
@@ -897,8 +900,8 @@ def test_probe_reaches_the_plain_climb(povm, q0_probes, monkeypatch):
     POVM that passes it the full probe) and on the first probe of the run
     at each of seeds 0-2, the best value must come within 1e-10 nats of
     every start climbing PROBE_MAX_STEPS steps with no early exit."""
-    runs = [(lambda: solver._symmetric_power(povm, SolverConfig()), k) for k in range(q0_probes)]
     kernel = solver._Kernel(povm.elements)
+    runs = [(lambda: solver._symmetric_power(povm, kernel, SolverConfig()), k) for k in range(q0_probes)]
     runs += [(lambda seed=seed: solver._run(kernel, seed, 1e-9), 0) for seed in range(3)]
     probe = solver._max_relative_entropy_states
     for run, k in runs:
