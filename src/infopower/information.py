@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .objects import DensityOperator, Ensemble, Povm
+from .objects import DensityOperator, Ensemble, Povm, _probability_rows
 
 _TINY = 1e-300
 LN2 = float(np.log(2.0))
@@ -42,16 +42,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float).reshape(-1)
-        if p.shape[0] < 1:
-            raise ValueError("distribution needs at least one entry")
-        if not np.isfinite(p).all():
-            raise ValueError("distribution contains non-finite entries")
-        if (p < 0).any():
-            raise ValueError(f"negative probability {float(p.min())!r}")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {float(p.sum())!r}, not 1 within 1e-12")
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _probability_rows(np.ravel(self.probs), 1, 1e-12, "distribution"))
 
     def __len__(self) -> int:
         return self.probs.shape[0]
@@ -64,18 +55,7 @@ class ClassicalChannel:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
-            raise ValueError(f"channel matrix must be 2-D and non-empty, got shape {p.shape}")
-        if not np.isfinite(p).all():
-            raise ValueError("channel contains non-finite entries")
-        if (p < 0).any():
-            raise ValueError(f"negative channel probability {float(p.min())!r}")
-        sums = p.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-10:
-            worst = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValueError(f"channel row {worst} sums to {float(sums[worst])!r}, not 1 within 1e-10")
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _probability_rows(self.probs, 2, 1e-10, "channel"))
 
     @property
     def num_inputs(self) -> int:
@@ -115,19 +95,20 @@ def outcome_probabilities(e: Ensemble, p: Povm) -> np.ndarray:
     return np.clip(probs, 0.0, 1.0)
 
 
+def _stochastic(probs: np.ndarray) -> ClassicalChannel:
+    """The channel of the rows of ``probs`` divided by their sums, which a
+    valid POVM keeps only within ``_povm_slack`` of 1."""
+    return ClassicalChannel(probs / probs.sum(axis=1, keepdims=True))
+
+
 def joint_statistics(e: Ensemble, p: Povm) -> ClassicalChannel:
     """The classical channel p(j|i) = Tr[rho_i Pi_j] induced by measuring the POVM.
 
-    Rows are divided by their sums, which a valid POVM keeps within
-    1e-10 plus its own tolerances of 1 (see ``_povm_slack``).
+    Rows are divided by their sums, which must lie within 1e-10 plus the
+    POVM's own tolerances of 1 (see ``_povm_slack``).
     """
     probs = outcome_probabilities(e, p)
-    sums = probs.sum(axis=1)
-    slack = 1e-10 + _povm_slack(p)
-    if np.max(np.abs(sums - 1.0)) > slack:
-        worst = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValueError(f"row {worst} of Tr[rho Pi] sums to {float(sums[worst])!r}, not 1 within {slack:.1e}")
-    return ClassicalChannel(probs / sums[:, None])
+    return _stochastic(_probability_rows(probs, 2, 1e-10 + _povm_slack(p), "Tr[rho Pi]"))
 
 
 def shannon_entropy(d: Distribution | np.ndarray, base: LogBase = LogBase.BITS) -> float:
@@ -316,9 +297,9 @@ def blahut_arimoto(
     if initial_prior is None:
         r = np.full(m, 1.0 / m)
     else:
-        r = np.asarray(initial_prior, dtype=float).reshape(-1)
-        if r.shape[0] != m or (r < 0).any() or abs(r.sum() - 1.0) > 1e-9:
-            raise ValueError("initial_prior must be a distribution over the channel inputs")
+        r = _probability_rows(np.ravel(initial_prior), 1, 1e-9, "initial_prior")
+        if r.shape[0] != m:
+            raise ValueError(f"initial_prior has {r.shape[0]} entries for {m} channel inputs")
         r = r / r.sum()
     tol_nats = base.to_nats(tol)
 

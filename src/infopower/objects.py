@@ -1,8 +1,20 @@
 """Domain types: density operators, POVMs, ensembles.
 
-All types are frozen dataclasses over numpy arrays; constructors symmetrize
-Hermitian inputs and enforce the type invariants (PSD within -1e-10,
-completeness within 1e-9 Frobenius, unit traces and norms).
+All types are frozen dataclasses over numpy arrays. Each invariant is
+checked in one function, which every constructor calls:
+
+- ``_hermitian``: one matrix, or a non-empty stack, is square with D >= 1
+  and finite; it is hermitized and each matrix's lowest eigenvalue taken.
+  Density matrices (``DensityOperator``, ``Ensemble`` states) are then PSD
+  within ``linalg.PSD_TOL`` (1e-10) and of unit trace within 1e-10.
+- ``_povm_residuals``: those eigenvalues, at least -``psd_tol`` (PSD_TOL) in
+  a ``Povm``, and |sum - I|_F of the stack as given, at most
+  ``completeness_tol`` (1e-9); ``validate_povm`` reports both.
+- ``_probability_rows``: a vector, or each row of a matrix, is non-empty,
+  finite, non-negative and sums to 1 within 1e-12 (``Distribution``,
+  ``Ensemble`` priors), 1e-10 (``ClassicalChannel``), 1e-9
+  (``blahut_arimoto``'s ``initial_prior``) or 1e-10 plus the POVM's slack
+  (``joint_statistics``).
 """
 
 from __future__ import annotations
@@ -37,19 +49,41 @@ def bloch_operator(n: np.ndarray) -> np.ndarray:
     return 0.5 * (np.eye(2, dtype=complex) + n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
 
-def _density_matrices(m: np.ndarray, ndim: int, what: str) -> np.ndarray:
-    """``m`` hermitized, once checked to be one density matrix (``ndim`` 2)
-    or a stack of them (``ndim`` 3): finite, PSD within ``linalg.PSD_TOL``,
-    unit trace within 1e-10. A stack's errors name its first failing member."""
+def _hermitian(m: np.ndarray, ndim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``m`` (``ndim`` 2: one matrix, 3: a stack) hermitized, with each of its
+    matrices' lowest eigenvalue, once checked as the module docstring says."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"{what} must be {ndim}-D and square, got shape {m.shape}")
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2] or 0 in m.shape:
+        raise ValueError(f"{what} must be {ndim}-D, square and non-empty, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{what} contains non-finite entries")
     m = linalg.hermitize(m)
-    stack = m.reshape(-1, *m.shape[-2:])
-    w0 = np.linalg.eigvalsh(stack)[:, 0]
-    tr = np.trace(stack, axis1=1, axis2=2).real
+    return m, np.linalg.eigvalsh(m.reshape(-1, *m.shape[-2:]))[:, 0]
+
+
+def _probability_rows(p: np.ndarray, ndim: int, tol: float, what: str) -> np.ndarray:
+    """``p`` as floats, once checked to be a probability vector (``ndim`` 1)
+    or matrix of rows (``ndim`` 2) whose sums are 1 within ``tol``."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != ndim or 0 in p.shape:
+        raise ValueError(f"{what} must be {ndim}-D and non-empty, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{what} contains non-finite entries")
+    if (p < 0).any():
+        raise ValueError(f"{what}: negative entry {float(p.min())!r}")
+    sums = p.sum(axis=-1)
+    dev = abs(sums - 1.0)
+    if dev.max() > tol:
+        i = int(np.argmax(dev))
+        row = f" row {i}" if ndim == 2 else ""
+        raise ValueError(f"{what}{row}: entries sum to {float(sums.flat[i])!r}, not 1 within {tol:g}")
+    return p
+
+
+def _density_matrices(m: np.ndarray, ndim: int, what: str) -> np.ndarray:
+    """``m`` hermitized, once checked to hold density matrices (errors name a stack's first bad one)."""
+    m, w0 = _hermitian(m, ndim, what)
+    tr = np.trace(m, axis1=-2, axis2=-1).real.reshape(-1)
     bad = np.flatnonzero((w0 < -linalg.PSD_TOL) | (np.abs(tr - 1.0) > 1e-10))
     if bad.size:
         i = int(bad[0])
@@ -58,6 +92,14 @@ def _density_matrices(m: np.ndarray, ndim: int, what: str) -> np.ndarray:
             raise NotPositiveSemidefinite(f"{name} eigenvalue {w0[i]:.3e} below -{linalg.PSD_TOL:.0e}")
         raise ValueError(f"{name} trace {float(tr[i])!r} is not 1 within 1e-10")
     return m
+
+
+def _povm_residuals(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The stack as given and hermitized, each element's lowest eigenvalue,
+    and |sum - I|_F of the stack as given."""
+    e = np.asarray(elements, dtype=complex)
+    h, w0 = _hermitian(e, 3, "POVM")
+    return e, h, w0, float(np.linalg.norm(e.sum(axis=0) - np.eye(e.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -86,26 +128,14 @@ class Povm:
     completeness_tol: float = field(default=CONSTRUCTION_COMPLETENESS_TOL, repr=False)
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.elements, dtype=complex)
-        if e.ndim != 3 or e.shape[1] != e.shape[2]:
-            raise ValueError(f"POVM elements must be a stack of square matrices, got shape {e.shape}")
-        if e.shape[0] < 1:
-            raise ValueError("POVM needs at least one element")
-        if not np.isfinite(e).all():
-            raise ValueError("POVM contains non-finite entries")
-        e = linalg.hermitize(e)
-        w0 = np.linalg.eigvalsh(e)[:, 0]
+        _, e, w0, residual = _povm_residuals(self.elements)
         bad = np.flatnonzero(w0 < -self.psd_tol)
         if bad.size:
             j = int(bad[0])
-            raise NotPositiveSemidefinite(
-                f"POVM element {j} has eigenvalue {w0[j]:.3e} below -{self.psd_tol:.0e}"
-            )
-        residual = float(np.linalg.norm(e.sum(axis=0) - np.eye(e.shape[1])))
+            raise NotPositiveSemidefinite(f"POVM element {j} has eigenvalue {w0[j]:.3e} "
+                                          f"below -{self.psd_tol:.0e}")
         if residual > self.completeness_tol:
-            raise ValueError(
-                f"POVM completeness residual {residual:.3e} exceeds {self.completeness_tol:.0e}"
-            )
+            raise ValueError(f"POVM completeness residual {residual:.3e} exceeds {self.completeness_tol:.0e}")
         object.__setattr__(self, "elements", e)
 
     @property
@@ -148,15 +178,7 @@ class Ensemble:
         states = _density_matrices(self.states, 3, "ensemble state")
         if p.shape[0] != states.shape[0]:
             raise ValueError(f"{p.shape[0]} priors but {states.shape[0]} states")
-        if p.shape[0] < 1:
-            raise ValueError("ensemble needs at least one member")
-        if not np.isfinite(p).all():
-            raise ValueError("ensemble priors contain non-finite entries")
-        if (p < 0).any():
-            raise ValueError(f"negative prior {float(p.min())!r}")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"priors sum to {float(p.sum())!r}, not 1 within 1e-12")
-        object.__setattr__(self, "priors", p)
+        object.__setattr__(self, "priors", _probability_rows(p, 1, 1e-12, "ensemble priors"))
         object.__setattr__(self, "states", states)
 
     @property
@@ -199,24 +221,18 @@ def validate_povm(p: Povm | np.ndarray | list, tol: float = 1e-8) -> ValidationR
     Accepts a ``Povm`` or a raw stack/list of square matrices, so that
     violating inputs can still be diagnosed. Reports per-element
     Hermiticity residuals ``|m - m†|_F``, PSD residuals ``max(0, -min
-    eigenvalue)``, and the completeness residual ``|sum - I|_F``.
+    eigenvalue)``, and the completeness residual ``|sum - I|_F``, the
+    residuals ``Povm`` checks. A stack that ``_hermitian`` refuses (not
+    square, D = 0, empty, non-finite entries) raises ``ValueError``.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
-    e = p.elements if isinstance(p, Povm) else np.asarray(p, dtype=complex)
-    if e.ndim != 3 or e.shape[1] != e.shape[2] or e.shape[0] < 1:
-        raise ValueError(f"expected a stack of square matrices, got shape {e.shape}")
+    e, _, w0, completeness = _povm_residuals(p.elements if isinstance(p, Povm) else p)
     herm = tuple(float(np.linalg.norm(m - m.conj().T)) for m in e)
-    psd = tuple(float(max(0.0, -w0)) for w0 in np.linalg.eigvalsh(linalg.hermitize(e))[:, 0])
-    completeness = float(np.linalg.norm(e.sum(axis=0) - np.eye(e.shape[1])))
+    psd = tuple(float(max(0.0, -w)) for w in w0)
     passed = max(max(herm), max(psd), completeness) <= tol
-    return ValidationReport(
-        tol=tol,
-        hermiticity_residuals=herm,
-        psd_residuals=psd,
-        completeness_residual=completeness,
-        passed=passed,
-    )
+    return ValidationReport(tol=tol, hermiticity_residuals=herm, psd_residuals=psd,
+                            completeness_residual=completeness, passed=passed)
 
 
 def ensemble_average(e: Ensemble) -> DensityOperator:
@@ -246,8 +262,8 @@ def anti_tetrahedral_ensemble() -> Ensemble:
 def projective_povm(basis: np.ndarray) -> Povm:
     """Rank-1 projective POVM from an orthonormal set of basis columns."""
     basis = np.asarray(basis, dtype=complex)
-    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
-        raise ValueError(f"expected a square matrix of basis columns, got shape {basis.shape}")
+    if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or basis.shape[0] < 1:
+        raise ValueError(f"expected a non-empty square matrix of basis columns, got shape {basis.shape}")
     gram = basis.conj().T @ basis
     if float(np.linalg.norm(gram - np.eye(basis.shape[1]))) > 1e-10:
         raise ValueError("basis columns are not orthonormal within 1e-10")

@@ -40,6 +40,7 @@ skipped and the generic run follows.
 from __future__ import annotations
 
 import functools
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -50,11 +51,11 @@ from .errors import NotCommuting
 from .information import (
     _TINY,
     _log_ratio,
+    _stochastic,
     LN2,
     LogBase,
     blahut_arimoto,
     channel_mutual_information_nats,
-    ClassicalChannel,
     mutual_information,
 )
 from .objects import Ensemble, Povm
@@ -89,8 +90,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -171,14 +173,13 @@ def _margin(tol: float) -> float:
 class _Kernel:
     """The channel psi -> <psi|Pi_j|psi> of one POVM, built once per solve:
     the elements (N, D, D), D, the elements flattened to the real
-    (N, 2*D*D) right factors of ``_channel_probs`` (conjugated) and
+    (N, 2*D*D) right factor of ``_channel_probs`` and
     ``_weighted_elements``, and, on first use, each element's top
     eigenvector."""
 
     def __init__(self, elements: np.ndarray) -> None:
         n, dim, _ = elements.shape
         self.elements, self.dim = elements, dim
-        self.probs_layout = np.ascontiguousarray(elements.reshape(n, dim * dim).conj()).view(float)
         self.weights_layout = np.ascontiguousarray(elements).reshape(n, dim * dim).view(float)
 
     @functools.cached_property
@@ -188,11 +189,13 @@ class _Kernel:
 
 def _channel_probs(vectors: np.ndarray, kernel: _Kernel) -> np.ndarray:
     """Outcome probabilities <psi_i|Pi_j|psi_i> for unit row vectors, as
-    one real product of the rows of |psi_i><psi_i| against the elements."""
+    one real product of the rows of |psi_i><psi_i| against the elements:
+    the dot product of two flattened complex matrices' real views is
+    Re Tr(A^dagger B)."""
     dim = kernel.dim
-    outer = np.ascontiguousarray(vectors.conj()[:, :, None] * vectors[:, None, :]).reshape(-1, dim * dim)
+    outer = np.ascontiguousarray(vectors[:, :, None] * vectors.conj()[:, None, :]).reshape(-1, dim * dim)
     # np.clip's wrapper costs more than its two ufuncs at these sizes
-    return np.minimum(np.maximum(outer.view(float) @ kernel.probs_layout.T, 0.0), 1.0)
+    return np.minimum(np.maximum(outer.view(float) @ kernel.weights_layout.T, 0.0), 1.0)
 
 
 def _weighted_elements(lr: np.ndarray, kernel: _Kernel) -> np.ndarray:
@@ -339,13 +342,6 @@ def _compact(vectors: np.ndarray, prior: np.ndarray) -> tuple[np.ndarray, np.nda
             keep.append(int(i))
     keep.sort()
     return vectors[keep], prior[keep] / prior[keep].sum()
-
-
-def _stochastic(probs: np.ndarray) -> ClassicalChannel:
-    """The channel with rows ``probs`` divided by their sums, as
-    ``joint_statistics`` does: a valid POVM keeps the sums only within its
-    completeness tolerance of 1, while ``ClassicalChannel`` asks for 1e-10."""
-    return ClassicalChannel(probs / probs.sum(axis=1, keepdims=True))
 
 
 def _refit(probs: np.ndarray, prior: np.ndarray, tol: float) -> tuple[np.ndarray, float]:

@@ -286,6 +286,13 @@ def test_ba_rejects_bad_inputs():
         blahut_arimoto(ch, initial_prior=np.array([0.5, 0.5]))
 
 
+def test_ba_refuses_a_non_finite_initial_prior():
+    ch = ClassicalChannel(np.eye(3))
+    for prior in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="initial_prior"):
+            blahut_arimoto(ch, initial_prior=np.array(prior))
+
+
 def test_ba_nats_base():
     probs = np.array([[0.9, 0.1], [0.1, 0.9]])
     bits = blahut_arimoto(ClassicalChannel(probs)).capacity

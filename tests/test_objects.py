@@ -109,6 +109,29 @@ def test_validate_povm_rejects_a_negative_or_non_finite_tol():
             validate_povm(tetrahedral_sic_povm(), tol=tol)
 
 
+def test_validate_povm_raises_on_a_non_finite_element():
+    # a NaN residual that is not the first one would drop out of max()
+    els = np.concatenate([tetrahedral_sic_povm().elements, np.full((1, 2, 2), np.nan)])
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_povm(els)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Povm(np.zeros((1, 0, 0))),
+        lambda: validate_povm(np.zeros((1, 0, 0))),
+        lambda: DensityOperator(np.zeros((0, 0))),
+        lambda: Ensemble(np.ones(1), np.zeros((1, 0, 0))),
+        lambda: projective_povm(np.zeros((0, 0))),
+    ],
+    ids=["Povm", "validate_povm", "DensityOperator", "Ensemble", "projective_povm"],
+)
+def test_dimension_zero_is_refused(build):
+    with pytest.raises(ValueError, match="non-empty"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # ensembles
 

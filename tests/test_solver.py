@@ -58,8 +58,10 @@ def test_solver_config_validation():
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol"):
             SolverConfig(tol=tol)
-    with pytest.raises(ValueError, match="seed"):
-        SolverConfig(seed=-1)
+    for seed in (-1, 1.5, True, "3", np.float64(2.0)):
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=seed)
+    assert SolverConfig(seed=np.int64(3)).seed == 3
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +741,29 @@ def test_generic_power_bounds_and_invariances(shape, seed):
         assert power(els) == pytest.approx(w, abs=1e-7), name
     merged = np.concatenate([elements[:1] + elements[1:2], elements[2:]])
     assert power(merged) <= w + 1e-7
+
+
+@given(
+    shape=st.integers(min_value=2, max_value=4).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(min_value=3, max_value=8))
+    ),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    data=st.data(),
+)
+def test_coarse_graining_never_raises_power(shape, seed, data):
+    """Summing groups of outcomes is post-processing, so W(coarse) <= W(Pi).
+    Each estimate is certified within the margin below its W, which
+    bounds W(coarse) by the estimate of W(Pi) plus one margin."""
+    dim, outcomes = shape
+    labels = np.array(data.draw(st.lists(st.integers(min_value=0, max_value=outcomes - 1),
+                                         min_size=outcomes, max_size=outcomes)))
+    elements = random_povm(dim, outcomes, seed=seed).elements
+    coarse = np.stack([elements[labels == g].sum(axis=0) for g in np.unique(labels)])
+    cfg = SolverConfig(seed=0)
+    fine_rep = informational_power(Povm(elements), cfg)
+    assert fine_rep.converged
+    coarse_w = informational_power(Povm(coarse), cfg).w_estimate
+    assert coarse_w <= fine_rep.w_estimate + solver._margin(cfg.tol) / LN2
 
 
 # ---------------------------------------------------------------------------
