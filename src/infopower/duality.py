@@ -69,7 +69,9 @@ def ensemble_from_povm(l: Povm, sigma: DensityOperator) -> tuple[Ensemble, list[
     if not keep.any():
         raise ValueError("ensemble_from_povm: every outcome has zero probability on sigma")
     states = root @ l.elements[keep] @ root
-    states = states / np.trace(states, axis1=1, axis2=2).real[:, None, None]
+    # Hermitian only to roundoff, which dividing by a small Tr[sigma Lambda_j]
+    # can lift above the Ensemble's Hermiticity check
+    states = linalg.hermitize(states / np.trace(states, axis1=1, axis2=2).real[:, None, None])
     priors = q[keep] / q[keep].sum()
     return Ensemble(priors, states), np.flatnonzero(~keep).tolist()
 

@@ -9,6 +9,7 @@ output columns are skipped entirely.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,15 @@ from .objects import DensityOperator, Ensemble, Povm, _probability_rows
 
 _TINY = 1e-300
 LN2 = float(np.log(2.0))
-# Blahut-Arimoto tries a Newton step on the prior every this many passes.
+# Blahut-Arimoto tries a Newton step on the prior every this many passes
+# (and right after each accepted one).
 _NEWTON_EVERY = 8
+# While a Newton try is due, Blahut-Arimoto stops only at a gap of tol
+# times this. Newton steps converge quadratically, so the one that meets
+# tol leaves a gap anywhere in [0, tol]; one more step costs a pass and
+# lands near roundoff, and the returned gap no longer depends on where
+# the last step happened to land.
+_NEWTON_STOP = 1.0 / 16.0
 
 
 class LogBase(enum.Enum):
@@ -271,19 +279,28 @@ def blahut_arimoto(
     """Discrete memoryless channel capacity by alternating maximization.
 
     Stops when the capacity gap max_i D_i - sum_i r_i D_i, taken over all
-    inputs, falls to ``tol`` (interpreted in ``base``), which certifies the
-    returned capacity is within ``tol`` of the true value. Exceeding
+    inputs, falls to ``tol`` (interpreted in ``base``; lower while a Newton
+    try is due, see below), which certifies the returned capacity is
+    within ``tol`` of the true value. Exceeding
     ``max_iter`` loop passes returns the last iterate flagged
     ``converged=False``.
 
     A pass is the multiplicative update r_i <- r_i exp(D_i) / Z, except
-    that every ``_NEWTON_EVERY``-th pass first tries an active-set Newton
-    step on the optimality conditions (``_newton_prior``) and takes it
-    instead when it improves the iterate (``_improves``); a full step that
-    does not is cut back to the peak of the quadratic model of I along it.
-    The plain update converges sublinearly when the optimal prior sits on
-    a face of the simplex; the Newton step finds that face and lands on its
-    optimum. ``iterations`` counts every pass, Newton steps included.
+    that some passes first try an active-set Newton step on the optimality
+    conditions (``_newton_prior``) and take it instead when it improves the
+    iterate (``_improves``); a full step that does not is cut back to the
+    peak of the quadratic model of I along it. A try comes on every
+    ``_NEWTON_EVERY``-th pass and on the pass right after an accepted step,
+    and on pass 1 of a cold start (no ``initial_prior``) on a channel with
+    no more inputs than fed outputs; after a refused try the next waits for
+    the next multiple of ``_NEWTON_EVERY``. While a try is due, the run
+    stops only at a gap of ``tol * _NEWTON_STOP`` (tol / 16). The plain
+    update converges sublinearly when the optimal prior sits on a face of
+    the simplex; the Newton step finds that face and lands on its optimum,
+    quadratically once it may step on every pass, so the step that meets
+    ``tol`` can leave a gap anywhere below it and one more step takes it
+    to roundoff. ``iterations`` counts every pass, Newton steps included.
+    ``max_iter`` must be an integer >= 1.
 
     ``initial_prior`` warm-starts the iteration; entries at exact zero stay
     zero, freezing that support. An entry that reaches zero later, through
@@ -292,6 +309,8 @@ def blahut_arimoto(
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     probs = ch.probs
     m = probs.shape[0]
     if initial_prior is None:
@@ -316,11 +335,15 @@ def blahut_arimoto(
         return d, float(r @ d)
 
     d, value = rates(r)
+    # a cold start on a channel with no more inputs than fed outputs tries
+    # Newton at once; after that, a try follows every accepted step
+    newton = initial_prior is None and live.size <= p.shape[1]
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if d.max() - value <= tol_nats:
+        if d.max() - value <= (tol_nats * _NEWTON_STOP if newton else tol_nats):
             break
-        if iterations % _NEWTON_EVERY == 0:
+        if newton or iterations % _NEWTON_EVERY == 0:
+            newton = False
             trial = _newton_prior(p, r, d, value, live)
             if trial is not None:
                 d_trial, value_trial = rates(trial)
@@ -333,6 +356,7 @@ def blahut_arimoto(
                         d_trial, value_trial = rates(trial)
                 if _improves(d, value, d_trial, value_trial):
                     r, d, value = trial, d_trial, value_trial
+                    newton = True
                     continue
         pos = r > 0
         w = r[pos] * np.exp(d[pos] - d[pos].max())

@@ -4,12 +4,14 @@ All types are frozen dataclasses over numpy arrays. Each invariant is
 checked in one function, which every constructor calls:
 
 - ``_hermitian``: one matrix, or a non-empty stack, is square with D >= 1
-  and finite; it is hermitized and each matrix's lowest eigenvalue taken.
-  Density matrices (``DensityOperator``, ``Ensemble`` states) are then PSD
-  within ``linalg.PSD_TOL`` (1e-10) and of unit trace within 1e-10.
-- ``_povm_residuals``: those eigenvalues, at least -``psd_tol`` (PSD_TOL) in
-  a ``Povm``, and |sum - I|_F of the stack as given, at most
-  ``completeness_tol`` (1e-9); ``validate_povm`` reports both.
+  and finite; each matrix's |m - m†|_F is taken, then it is hermitized and
+  its lowest eigenvalue taken. Density matrices (``DensityOperator``,
+  ``Ensemble`` states) are then Hermitian and PSD within ``linalg.PSD_TOL``
+  (1e-10) and of unit trace within 1e-10.
+- ``_povm_residuals``: those residuals and eigenvalues, each within
+  ``psd_tol`` (PSD_TOL) in a ``Povm``, and |sum - I|_F of the stack as
+  given, at most ``completeness_tol`` (1e-9); ``validate_povm`` reports
+  all three.
 - ``_probability_rows``: a vector, or each row of a matrix, is non-empty,
   finite, non-negative and sums to 1 within 1e-12 (``Distribution``,
   ``Ensemble`` priors), 1e-10 (``ClassicalChannel``), 1e-9
@@ -49,16 +51,19 @@ def bloch_operator(n: np.ndarray) -> np.ndarray:
     return 0.5 * (np.eye(2, dtype=complex) + n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
 
-def _hermitian(m: np.ndarray, ndim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _hermitian(m: np.ndarray, ndim: int, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``m`` (``ndim`` 2: one matrix, 3: a stack) hermitized, with each of its
-    matrices' lowest eigenvalue, once checked as the module docstring says."""
+    matrices' lowest eigenvalue and |m - m†|_F, once checked as the module
+    docstring says."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != ndim or m.shape[-1] != m.shape[-2] or 0 in m.shape:
         raise ValueError(f"{what} must be {ndim}-D, square and non-empty, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{what} contains non-finite entries")
-    m = linalg.hermitize(m)
-    return m, np.linalg.eigvalsh(m.reshape(-1, *m.shape[-2:]))[:, 0]
+    mh = np.conj(np.swapaxes(m, -1, -2))
+    skew = np.linalg.norm((m - mh).reshape(-1, m.shape[-1] ** 2), axis=1)
+    m = 0.5 * (m + mh)  # linalg.hermitize, sharing m†
+    return m, np.linalg.eigvalsh(m.reshape(-1, *m.shape[-2:]))[:, 0], skew
 
 
 def _probability_rows(p: np.ndarray, ndim: int, tol: float, what: str) -> np.ndarray:
@@ -82,12 +87,14 @@ def _probability_rows(p: np.ndarray, ndim: int, tol: float, what: str) -> np.nda
 
 def _density_matrices(m: np.ndarray, ndim: int, what: str) -> np.ndarray:
     """``m`` hermitized, once checked to hold density matrices (errors name a stack's first bad one)."""
-    m, w0 = _hermitian(m, ndim, what)
+    m, w0, skew = _hermitian(m, ndim, what)
     tr = np.trace(m, axis1=-2, axis2=-1).real.reshape(-1)
-    bad = np.flatnonzero((w0 < -linalg.PSD_TOL) | (np.abs(tr - 1.0) > 1e-10))
+    bad = np.flatnonzero((skew > linalg.PSD_TOL) | (w0 < -linalg.PSD_TOL) | (np.abs(tr - 1.0) > 1e-10))
     if bad.size:
         i = int(bad[0])
         name = what if ndim == 2 else f"{what} {i}"
+        if skew[i] > linalg.PSD_TOL:
+            raise ValueError(f"{name} is not Hermitian: |m - m†|_F = {skew[i]:.3e} above {linalg.PSD_TOL:.0e}")
         if w0[i] < -linalg.PSD_TOL:
             raise NotPositiveSemidefinite(f"{name} eigenvalue {w0[i]:.3e} below -{linalg.PSD_TOL:.0e}")
         raise ValueError(f"{name} trace {float(tr[i])!r} is not 1 within 1e-10")
@@ -95,11 +102,11 @@ def _density_matrices(m: np.ndarray, ndim: int, what: str) -> np.ndarray:
 
 
 def _povm_residuals(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The stack as given and hermitized, each element's lowest eigenvalue,
-    and |sum - I|_F of the stack as given."""
+    """The stack hermitized, each element's lowest eigenvalue and
+    |m - m†|_F, and |sum - I|_F of the stack as given."""
     e = np.asarray(elements, dtype=complex)
-    h, w0 = _hermitian(e, 3, "POVM")
-    return e, h, w0, float(np.linalg.norm(e.sum(axis=0) - np.eye(e.shape[1])))
+    h, w0, skew = _hermitian(e, 3, "POVM")
+    return h, w0, skew, float(np.linalg.norm(e.sum(axis=0) - np.eye(e.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,7 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class Povm:
-    """Ordered list of PSD operators summing to the identity.
+    """Ordered list of Hermitian PSD operators summing to the identity.
 
     ``elements`` is stored as a single (N, D, D) complex array.
     """
@@ -128,7 +135,12 @@ class Povm:
     completeness_tol: float = field(default=CONSTRUCTION_COMPLETENESS_TOL, repr=False)
 
     def __post_init__(self) -> None:
-        _, e, w0, residual = _povm_residuals(self.elements)
+        e, w0, skew, residual = _povm_residuals(self.elements)
+        bad = np.flatnonzero(skew > self.psd_tol)
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(f"POVM element {j} is not Hermitian: |m - m†|_F = {skew[j]:.3e} "
+                             f"above {self.psd_tol:.0e}")
         bad = np.flatnonzero(w0 < -self.psd_tol)
         if bad.size:
             j = int(bad[0])
@@ -227,12 +239,12 @@ def validate_povm(p: Povm | np.ndarray | list, tol: float = 1e-8) -> ValidationR
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
-    e, _, w0, completeness = _povm_residuals(p.elements if isinstance(p, Povm) else p)
-    herm = tuple(float(np.linalg.norm(m - m.conj().T)) for m in e)
-    psd = tuple(float(max(0.0, -w)) for w in w0)
-    passed = max(max(herm), max(psd), completeness) <= tol
-    return ValidationReport(tol=tol, hermiticity_residuals=herm, psd_residuals=psd,
-                            completeness_residual=completeness, passed=passed)
+    _, w0, skew, completeness = _povm_residuals(p.elements if isinstance(p, Povm) else p)
+    psd = np.maximum(0.0, -w0)
+    passed = bool(max(skew.max(), psd.max(), completeness) <= tol)
+    return ValidationReport(tol=tol, hermiticity_residuals=tuple(skew.tolist()),
+                            psd_residuals=tuple(psd.tolist()), completeness_residual=completeness,
+                            passed=passed)
 
 
 def ensemble_average(e: Ensemble) -> DensityOperator:

@@ -573,7 +573,11 @@ def commuting_fast_path(p: Povm, tol: float = 1e-12, base: LogBase = LogBase.BIT
     A maximally informative ensemble lives on the common eigenbasis, so
     the problem reduces to the classical channel p(j|i) = <i|Pi_j|i> and a
     single Blahut-Arimoto run is exact to its tolerance (``tol``, in
-    ``base``). The reported ensemble is the support of that run's prior:
+    ``base``). The run starts cold from the uniform prior, so it tries the
+    Newton step on pass 1 when the D inputs are no more than the nonzero
+    elements (on pass 8 otherwise), and on every pass after a step lands;
+    a run that ends on such steps stops at a gap of tol / 16.
+    The reported ensemble is the support of that run's prior:
     the eigenvectors with a positive weight. The elements count as
     commuting when the eigenbasis of a fixed random combination of them
     leaves no off-diagonal entry above ``linalg.COMMUTING_TOL`` (1e-10) in

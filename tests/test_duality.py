@@ -18,6 +18,7 @@ from infopower.objects import (
     anti_tetrahedral_ensemble,
     ensemble_average,
     maximally_mixed,
+    projective_povm,
     random_povm,
     standard_projective_povm,
     tetrahedral_sic_povm,
@@ -163,6 +164,18 @@ def test_povm_from_ensemble_equals_reference_with_kernel_element():
     p = povm_from_ensemble(e)
     assert p.num_outcomes == 3  # two members and the kernel element
     assert np.array_equal(p.elements, _povm_from_ensemble_reference(e))
+
+
+def test_ensemble_from_povm_state_of_a_tiny_outcome_passes_the_hermiticity_check():
+    # Tr[sigma Pi_1] = 1e-10: dividing root Pi_1 root by it lifts its
+    # roundoff skew to about 1e-7, above the states' 1e-10 check
+    rng = np.random.default_rng(0)
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    sigma = DensityOperator(linalg.hermitize((u * [1 - 1e-10, 1e-10]) @ u.conj().T))
+    e, dropped = ensemble_from_povm(projective_povm(u), sigma)
+    assert dropped == []
+    assert np.array_equal(e.states, np.conj(np.swapaxes(e.states, 1, 2)))
+    assert np.allclose(e.states[1], np.outer(u[:, 1], u[:, 1].conj()), atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

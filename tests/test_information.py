@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from infopower import serialize
+from infopower import information, serialize
 from infopower.errors import DimensionMismatch
 from infopower.information import (
     LN2,
@@ -286,6 +286,14 @@ def test_ba_rejects_bad_inputs():
         blahut_arimoto(ch, initial_prior=np.array([0.5, 0.5]))
 
 
+def test_ba_refuses_a_bad_max_iter():
+    ch = ClassicalChannel(np.eye(3))
+    for max_iter in (0, -3, True, 2.5, "3", np.float64(2.0)):
+        with pytest.raises(ValueError, match="max_iter"):
+            blahut_arimoto(ch, max_iter=max_iter)
+    assert blahut_arimoto(ch, max_iter=np.int64(3)).converged
+
+
 def test_ba_refuses_a_non_finite_initial_prior():
     ch = ClassicalChannel(np.eye(3))
     for prior in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]):
@@ -333,6 +341,72 @@ def test_ba_certifies_near_degenerate_block_channels(d, n, seed):
     assert res.converged
     assert res.iterations <= 1000
     assert capacity_gap_bits(probs, res.optimal_prior.probs) <= 1e-12
+
+
+def _block_channels():
+    """HARD_BLOCK_CHANNELS, then noise-0.3 block channels for D 2-8 and
+    N D..4D, as the commuting fast path meets them."""
+    for d, n, seed in HARD_BLOCK_CHANNELS:
+        yield block_channel(d, n, 0.5, np.random.default_rng(seed))
+    for d in range(2, 9):
+        for n in range(d, 4 * d + 1):
+            yield block_channel(d, n, 0.3, np.random.default_rng(100 * d + n))
+
+
+def test_ba_cold_start_certifies_block_channels_in_a_few_passes():
+    """Newton from pass 1, and on every pass after a step lands: at most
+    6 passes where a try every 8th pass alone takes 10 to 25 (median 17).
+    The step that meets tol leaves a gap anywhere below it (above tol / 16
+    on 16 of these channels); while a try is due the run goes on to
+    tol / 16, so the gap returned does not hang on where that step lands."""
+    for probs in _block_channels():
+        res = blahut_arimoto(ClassicalChannel(probs), tol=1e-12)
+        assert res.converged
+        assert res.iterations <= 6, probs.shape
+        assert res.gap <= 1e-12 / 16, probs.shape
+        assert capacity_gap_bits(probs, res.optimal_prior.probs) <= 1e-12 / 16
+
+
+def _newton_tries(monkeypatch, probs, passes, refuse=False, **kwargs):
+    """The passes, up to ``passes``, on which ``blahut_arimoto`` tries a
+    Newton step; with ``refuse`` every try is refused."""
+    calls = []
+    real = information._newton_prior
+
+    def spy(*args):
+        calls.append(None)
+        return None if refuse else real(*args)
+
+    monkeypatch.setattr(information, "_newton_prior", spy)
+    tries, before = [], 0
+    for max_iter in range(1, passes + 1):
+        calls.clear()
+        blahut_arimoto(ClassicalChannel(probs), tol=1e-12, max_iter=max_iter, **kwargs)
+        if len(calls) > before:
+            tries.append(max_iter)
+        before = len(calls)
+    return tries
+
+
+def test_ba_first_tries_newton_at_pass_one_only_from_a_cold_start(monkeypatch):
+    d, n, seed = HARD_BLOCK_CHANNELS[0]
+    probs = block_channel(d, n, 0.5, np.random.default_rng(seed))
+    assert _newton_tries(monkeypatch, probs, 8)[0] == 1
+    # any given prior, the uniform one included, waits for pass 8
+    for prior in (np.full(d, 1.0 / d), np.random.default_rng(1).dirichlet(np.ones(d))):
+        assert _newton_tries(monkeypatch, probs, 8, initial_prior=prior) == [8]
+
+
+def test_ba_tries_newton_after_an_accepted_step_only(monkeypatch):
+    d, n, seed = HARD_BLOCK_CHANNELS[0]
+    probs = block_channel(d, n, 0.5, np.random.default_rng(seed))
+    # every step lands, and the fifth pass certifies
+    assert _newton_tries(monkeypatch, probs, 10) == [1, 2, 3, 4]
+    # a refused try waits for the next multiple of 8
+    assert _newton_tries(monkeypatch, probs, 17, refuse=True) == [1, 8, 16]
+    # more inputs than fed outputs: no try on pass 1
+    wide = np.random.default_rng(0).dirichlet(np.ones(3), size=6)
+    assert _newton_tries(monkeypatch, wide, 9, refuse=True) == [8]
 
 
 @given(

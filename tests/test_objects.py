@@ -73,6 +73,36 @@ def test_povm_psd_error_names_first_failing_element():
         Povm(els)
 
 
+# anti-Hermitian part K cancels in I/3 + K + I/3 - K, so hermitizing the
+# stack alone would leave a valid POVM behind
+SKEW = np.array([[0.0, 0.3], [-0.3, 0.0]])
+
+
+def test_povm_refuses_a_non_hermitian_stack_naming_its_first_bad_element():
+    els = np.stack([np.eye(2) / 3, np.eye(2) / 3 + SKEW, np.eye(2) / 3 - SKEW])
+    with pytest.raises(ValueError, match=r"POVM element 1 is not Hermitian: \|m - m†\|_F = 8\.485e-01"):
+        Povm(els)
+    # the tolerance is psd_tol: a looser one admits the stack, hermitized
+    p = Povm(els, psd_tol=1.0)
+    assert np.allclose(p.elements, np.eye(2) / 3)
+
+
+def test_density_matrices_refuse_a_non_hermitian_matrix():
+    with pytest.raises(ValueError, match="density operator is not Hermitian"):
+        DensityOperator(np.eye(2) / 2 + SKEW)
+    with pytest.raises(ValueError, match="ensemble state 1 is not Hermitian"):
+        Ensemble(np.full(3, 1 / 3), np.stack([np.eye(2) / 2, np.eye(2) / 2 + SKEW, np.eye(2) / 2 - SKEW]))
+
+
+def test_validate_povm_reports_each_elements_hermiticity_residual():
+    els = np.stack([np.eye(2) / 3, np.eye(2) / 3 + SKEW, np.eye(2) / 3 - 2 * SKEW])
+    rep = validate_povm(els)
+    assert not rep.passed
+    assert rep.hermiticity_residuals == pytest.approx([np.linalg.norm(m - m.conj().T) for m in els], abs=1e-15)
+    assert all(type(x) is float for x in rep.hermiticity_residuals + rep.psd_residuals)
+    assert type(rep.passed) is bool
+
+
 def test_povm_requires_at_least_one_element():
     with pytest.raises(ValueError):
         Povm(np.zeros((0, 2, 2)))
