@@ -184,14 +184,13 @@ class BlahutArimotoResult:
     gap: float
 
 
-def _newton_prior(p: np.ndarray, r: np.ndarray, d: np.ndarray, value: float,
-                  live: np.ndarray) -> np.ndarray | None:
+def _newton_prior(p: np.ndarray, r: np.ndarray, d: np.ndarray, value: float) -> np.ndarray | None:
     """One active-set Newton step on the capacity KKT conditions, or None.
 
-    The active set S holds the live inputs with r_i > 1e-3 max r or
-    D_i >= I (that is, D_i >= max D - gap), so an input zeroed earlier
-    re-enters when it is worth sending. On S the conditions D_i = C are
-    linearised at q = r p:
+    The active set S holds the inputs with r_i > 1e-3 max r or D_i >= I
+    (that is, D_i >= max D - gap), so an input at zero, whether the
+    starting prior put it there or the run did, re-enters when it is
+    worth sending. On S the conditions D_i = C are linearised at q = r p:
 
         sum_k H_ik r'_k + lambda = D_i + 1,  sum_k r'_k = 1,
         H_ik = sum_j p_ij p_kj / q_j.
@@ -211,7 +210,7 @@ def _newton_prior(p: np.ndarray, r: np.ndarray, d: np.ndarray, value: float,
     """
     q = r @ p
     inv_q = np.where(q > _TINY, 1.0 / np.maximum(q, _TINY), 0.0)
-    s = live[(r[live] > 1e-3 * r[live].max()) | (d[live] >= value)]
+    s = np.flatnonzero((r > 1e-3 * r.max()) | (d >= value))
     while s.size:
         k = s.size
         kkt = np.ones((k + 1, k + 1))
@@ -291,21 +290,20 @@ def blahut_arimoto(
     iterate (``_improves``); a full step that does not is cut back to the
     peak of the quadratic model of I along it. A try comes on every
     ``_NEWTON_EVERY``-th pass and on the pass right after an accepted step,
-    and on pass 1 of a cold start (no ``initial_prior``) on a channel with
-    no more inputs than fed outputs; after a refused try the next waits for
-    the next multiple of ``_NEWTON_EVERY``. While a try is due, the run
-    stops only at a gap of ``tol * _NEWTON_STOP`` (tol / 16). The plain
-    update converges sublinearly when the optimal prior sits on a face of
-    the simplex; the Newton step finds that face and lands on its optimum,
-    quadratically once it may step on every pass, so the step that meets
-    ``tol`` can leave a gap anywhere below it and one more step takes it
-    to roundoff. ``iterations`` counts every pass, Newton steps included.
-    ``max_iter`` must be an integer >= 1.
+    and on pass 1 when the channel has no more inputs than fed outputs;
+    after a refused try the next waits for the next multiple of
+    ``_NEWTON_EVERY``. While a try is due, the run stops only at a gap of
+    ``tol * _NEWTON_STOP`` (tol / 16). The plain update converges
+    sublinearly when the optimal prior sits on a face of the simplex; the
+    Newton step finds that face and lands on its optimum, quadratically
+    once it may step on every pass, so the step that meets ``tol`` can
+    leave a gap anywhere below it and one more step takes it to roundoff.
+    ``iterations`` counts every pass, Newton steps included. ``max_iter``
+    must be an integer >= 1.
 
-    ``initial_prior`` warm-starts the iteration; entries at exact zero stay
-    zero, freezing that support. An entry that reaches zero later, through
-    a Newton step or underflow of the update, can re-enter through the
-    Newton step's active set.
+    ``initial_prior`` only sets where the iteration starts: an entry at
+    exact zero, given or reached, can re-enter through the Newton step's
+    active set.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -323,28 +321,26 @@ def blahut_arimoto(
     tol_nats = base.to_nats(tol)
 
     # Quantities that never change across iterations are hoisted: the set of
-    # output columns carrying any mass, the per-row entropy term sum_j p log p,
-    # and the live inputs (the support of the initial prior).
+    # output columns carrying any mass and the per-row entropy term sum_j p log p.
     keep = probs.max(axis=0) > _TINY
     p = probs[:, keep]
     plogp = np.sum(np.where(p > _TINY, p * np.log(np.maximum(p, _TINY)), 0.0), axis=1)
-    live = np.flatnonzero(r > 0)
 
     def rates(r: np.ndarray) -> tuple[np.ndarray, float]:
         d = plogp - p @ np.log(np.maximum(r @ p, _TINY))
         return d, float(r @ d)
 
     d, value = rates(r)
-    # a cold start on a channel with no more inputs than fed outputs tries
-    # Newton at once; after that, a try follows every accepted step
-    newton = initial_prior is None and live.size <= p.shape[1]
+    # a channel with no more inputs than fed outputs tries Newton at once;
+    # after that, a try follows every accepted step
+    newton = m <= p.shape[1]
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if d.max() - value <= (tol_nats * _NEWTON_STOP if newton else tol_nats):
             break
         if newton or iterations % _NEWTON_EVERY == 0:
             newton = False
-            trial = _newton_prior(p, r, d, value, live)
+            trial = _newton_prior(p, r, d, value)
             if trial is not None:
                 d_trial, value_trial = rates(trial)
                 if not _improves(d, value, d_trial, value_trial):

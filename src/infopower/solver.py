@@ -52,7 +52,6 @@ from .information import (
     _TINY,
     _log_ratio,
     _stochastic,
-    LN2,
     LogBase,
     blahut_arimoto,
     channel_mutual_information_nats,
@@ -72,7 +71,8 @@ PRUNE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the generic solver.
+    """Knobs of every solver entry point: ``informational_power``,
+    ``see_saw_power`` and ``commuting_fast_path``.
 
     ``tol`` sets the certificate margin max(10*tol, 1e-9) nats: the run
     is certified when no pure state beats its rate by more than that.
@@ -164,7 +164,8 @@ def _normalize_rows(v: np.ndarray) -> np.ndarray:
 
 def _margin(tol: float) -> float:
     """The certificate margin in nats: a rate is certified when no pure
-    state beats it by more than this. Refits stop at a tenth of it, so
+    state beats it by more than this. Refits stop well below it (the
+    run's at ``INNER_BA_TOL``, the symmetric fold's at a tenth of it), so
     that only an excess clearly above what a refit leaves is evidence of
     a violator."""
     return max(10.0 * tol, 1e-9)
@@ -452,16 +453,17 @@ def _run(kernel: _Kernel, seed: int, tol: float) -> _RunOutcome:
     """One seeded column-generation run, deterministic given the seed.
 
     It starts from D^2 random states (the Davies bound) at a uniform prior
-    and repeats rounds of polish, compact, refit and probe until the probe
-    finds no pure state beating the rate by more than max(10*tol, 1e-9)
-    nats, until no weight on the probe's best violator raises the rate, or
-    until ``MAX_ROUNDS`` rounds have run. The running value is exactly the
-    mutual information of the current (vectors, prior) pair and does not
-    decrease beyond roundoff: the polish and the refit are monotone, a
-    violator joins only with a weight that raises the rate, and compaction
-    drops members below ``PRUNE_TOL`` and folds copies that the polish has
-    already driven together, which moves the rate at roundoff level. Each
-    probe starts from the current ensemble besides its random starts.
+    and repeats rounds of polish, compact, refit to ``INNER_BA_TOL`` and
+    probe until the probe finds no pure state beating the rate by more
+    than max(10*tol, 1e-9) nats, until no weight on the probe's best
+    violator raises the rate, or until ``MAX_ROUNDS`` rounds have run.
+    The running value is exactly the mutual information of the current
+    (vectors, prior) pair, the one returned, and does not decrease beyond
+    roundoff: the polish and the refit are monotone, a violator joins only
+    with a weight that raises the rate, and compaction drops members below
+    ``PRUNE_TOL`` and folds copies that the polish has already driven
+    together, which moves the rate at roundoff level. Each probe starts
+    from the current ensemble besides its random starts.
     """
     dim = kernel.dim
     margin = _margin(tol)
@@ -476,7 +478,7 @@ def _run(kernel: _Kernel, seed: int, tol: float) -> _RunOutcome:
         vectors, prior, value = _polish(vectors, prior, kernel)
         vectors, prior = _compact(vectors, prior)
         probs = _channel_probs(vectors, kernel)
-        prior, value = _refit(probs, prior, 0.1 * margin)
+        prior, value = _refit(probs, prior, INNER_BA_TOL)
         cand_vectors, cand_probs, cand_vals = _max_relative_entropy_states(
             prior @ probs, kernel, rng, n_probe, vectors)
         best = int(np.argmax(cand_vals))
@@ -524,10 +526,9 @@ def _power_report(p: Povm, vectors: np.ndarray, prior: np.ndarray, base: LogBase
 def see_saw_power(p: Povm, cfg: SolverConfig | None = None) -> PowerReport:
     """Generic column-generation estimate of W(Pi): one seeded run.
 
-    The name is kept from the see-saw solver this replaced. The run's
-    ensemble is compacted, its prior refit to ``INNER_BA_TOL`` (the rounds
-    stop at 0.1 * margin), and the report gives the recomputed mutual
-    information of the members the refit keeps. The result depends on
+    The name is kept from the see-saw solver this replaced. The report is
+    the run's last ensemble as it stands: its members with a positive
+    prior and their recomputed mutual information. The result depends on
     ``cfg.seed`` alone, which decides the starting ensemble and the random
     starts of the violator search, the one non-convex step.
 
@@ -560,32 +561,33 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None) -> PowerReport:
 def _generic_power(p: Povm, kernel: _Kernel, cfg: SolverConfig) -> PowerReport:
     """``see_saw_power`` on the kernel of ``p`` that the caller built."""
     run = _run(kernel, cfg.seed, cfg.tol)
-    vectors, prior = _compact(run.vectors, run.priors)
-    prior, _ = _refit(_channel_probs(vectors, kernel), prior, INNER_BA_TOL)
-    return _power_report(p, vectors, prior, cfg.base, converged=run.converged,
+    return _power_report(p, run.vectors, run.priors, cfg.base, converged=run.converged,
                          iterations_used=run.iterations, fast_path_used=False,
                          per_restart_values=(cfg.base.from_nats(run.value_nats),))
 
 
-def commuting_fast_path(p: Povm, tol: float = 1e-12, base: LogBase = LogBase.BITS) -> PowerReport:
+def commuting_fast_path(p: Povm, cfg: SolverConfig | None = None) -> PowerReport:
     """Exact W for POVMs with commuting elements.
 
     A maximally informative ensemble lives on the common eigenbasis, so
     the problem reduces to the classical channel p(j|i) = <i|Pi_j|i> and a
-    single Blahut-Arimoto run is exact to its tolerance (``tol``, in
-    ``base``). The run starts cold from the uniform prior, so it tries the
-    Newton step on pass 1 when the D inputs are no more than the nonzero
-    elements (on pass 8 otherwise), and on every pass after a step lands;
-    a run that ends on such steps stops at a gap of tol / 16.
+    single Blahut-Arimoto run is exact to its tolerance, min(1e-12,
+    ``cfg.tol``) bits in either ``cfg.base``, so a report in nats is the
+    report in bits converted. The run tries the Newton step on pass 1 when
+    the D inputs are no more than the nonzero elements (on pass 8
+    otherwise), and on every pass after a step lands; a run that ends on
+    such steps stops at a gap of tol / 16.
     The reported ensemble is the support of that run's prior:
     the eigenvectors with a positive weight. The elements count as
     commuting when the eigenbasis of a fixed random combination of them
     leaves no off-diagonal entry above ``linalg.COMMUTING_TOL`` (1e-10) in
     any element; otherwise this raises NotCommuting.
     """
+    cfg = cfg or SolverConfig()
     basis = linalg.simultaneous_eigenbasis(p.elements)
-    res = blahut_arimoto(_stochastic(_channel_probs(basis.T, _Kernel(p.elements))), tol=tol, base=base)
-    return _power_report(p, basis.T, res.optimal_prior.probs, base, converged=res.converged,
+    res = blahut_arimoto(_stochastic(_channel_probs(basis.T, _Kernel(p.elements))),
+                         tol=min(INNER_BA_TOL, cfg.tol), base=LogBase.BITS)
+    return _power_report(p, basis.T, res.optimal_prior.probs, cfg.base, converged=res.converged,
                          iterations_used=res.iterations, fast_path_used=True)
 
 
@@ -649,14 +651,11 @@ def informational_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1)
     certificate fails, the generic solver runs once. A commuting POVM
     whose combination happens to be nearly degenerate also lands past the
     fast path and is solved more slowly, under one of the other two
-    certificates. The fast path stops at min(INNER_BA_TOL, cfg.tol) bits
-    whatever ``cfg.base``, so a report in nats is the report in bits
-    converted. ``jobs`` is accepted for compatibility and has no effect.
+    certificates. ``jobs`` is accepted for compatibility and has no effect.
     """
     cfg = cfg or SolverConfig()
-    unit_per_bit = LN2 if cfg.base is LogBase.NATS else 1.0
     try:
-        return commuting_fast_path(p, tol=min(INNER_BA_TOL, cfg.tol) * unit_per_bit, base=cfg.base)
+        return commuting_fast_path(p, cfg)
     except NotCommuting:
         # one kernel for both certificates: the probes share its top eigenvectors
         kernel = _Kernel(p.elements)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -122,6 +123,19 @@ def test_solve_generic_file_reports_one_restart_when_it_certifies(tmp_path, caps
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert doc["converged"] is True and doc["fast_path_used"] is False
     assert doc["per_restart_values"] == [pytest.approx(float(out.strip()), abs=1e-6)]
+
+
+def test_solve_warns_when_the_solver_does_not_converge(tmp_path, capsys, monkeypatch):
+    """An uncertified report still prints W and exits 0; the warning goes
+    to stderr and the report says converged false."""
+    report = dataclasses.replace(cli.informational_power(trine_povm()), converged=False)
+    monkeypatch.setattr(cli, "informational_power", lambda povm, cfg: report)
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "solve", "--example", "trine", "--out", str(out_path))
+    assert code == 0
+    assert float(out.strip()) == report.w_estimate
+    assert "warning" in err and "converge" in err
+    assert json.loads(out_path.read_text(encoding="utf-8"))["converged"] is False
 
 
 def test_solve_base_nats(capsys):

@@ -267,13 +267,20 @@ def test_ba_respects_max_iter_and_flags_nonconvergence():
     assert res.gap > 0
 
 
-def test_ba_warm_start_freezes_zero_support():
-    probs = np.array([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
-    res = blahut_arimoto(
-        ClassicalChannel(probs), initial_prior=np.array([0.5, 0.5, 0.0]), tol=1e-12
-    )
+def test_ba_warm_start_zero_entries_reenter():
+    """A warm start only sets where the run starts: a support input given
+    at zero re-enters through the Newton active set, while a useless
+    input given at zero stays there."""
+    # BSC(0.1) in the first two rows plus a useless input; the optimum is (1/2, 1/2, 0)
+    ch = ClassicalChannel(np.array([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]))
+    for prior in ([0.5, 0.0, 0.5], [1.0, 0.0, 0.0]):
+        res = blahut_arimoto(ch, initial_prior=np.array(prior), tol=1e-12)
+        assert res.converged
+        assert res.iterations <= 20
+        assert res.capacity == pytest.approx(1.0 - h2(0.1), abs=1e-9)
+    res = blahut_arimoto(ch, initial_prior=np.array([0.5, 0.5, 0.0]), tol=1e-12)
+    assert res.converged
     assert res.optimal_prior.probs[2] == 0.0
-    # restricted to the first two rows this is BSC(0.1)
     assert res.capacity == pytest.approx(1.0 - h2(0.1), abs=1e-9)
 
 
@@ -335,12 +342,16 @@ def test_ba_result_is_dataclass_with_expected_fields():
 
 @pytest.mark.parametrize("d, n, seed", HARD_BLOCK_CHANNELS)
 def test_ba_certifies_near_degenerate_block_channels(d, n, seed):
-    """The plain update needs 42k to over 100k passes on these channels."""
+    """The plain update needs 42k to over 100k passes on these channels.
+    The uniform prior given runs as the cold start: the same passes,
+    capacity and gap (its prior, renormalised, can differ by an ulp)."""
     probs = block_channel(d, n, 0.5, np.random.default_rng(seed))
     res = blahut_arimoto(ClassicalChannel(probs), tol=1e-12)
     assert res.converged
     assert res.iterations <= 1000
     assert capacity_gap_bits(probs, res.optimal_prior.probs) <= 1e-12
+    warm = blahut_arimoto(ClassicalChannel(probs), tol=1e-12, initial_prior=np.full(d, 1.0 / d))
+    assert (warm.iterations, warm.capacity, warm.gap) == (res.iterations, res.capacity, res.gap)
 
 
 def _block_channels():
@@ -388,13 +399,16 @@ def _newton_tries(monkeypatch, probs, passes, refuse=False, **kwargs):
     return tries
 
 
-def test_ba_first_tries_newton_at_pass_one_only_from_a_cold_start(monkeypatch):
+def test_ba_first_newton_try_depends_on_the_channel_alone(monkeypatch):
+    """Pass 1 tries Newton when the channel has no more inputs than fed
+    outputs, whatever the starting prior; a wide channel waits for pass 8."""
     d, n, seed = HARD_BLOCK_CHANNELS[0]
-    probs = block_channel(d, n, 0.5, np.random.default_rng(seed))
-    assert _newton_tries(monkeypatch, probs, 8)[0] == 1
-    # any given prior, the uniform one included, waits for pass 8
-    for prior in (np.full(d, 1.0 / d), np.random.default_rng(1).dirichlet(np.ones(d))):
-        assert _newton_tries(monkeypatch, probs, 8, initial_prior=prior) == [8]
+    square = block_channel(d, n, 0.5, np.random.default_rng(seed))
+    wide = np.random.default_rng(0).dirichlet(np.ones(3), size=6)
+    for probs, first in ((square, 1), (wide, 8)):
+        m = probs.shape[0]
+        for prior in (None, np.full(m, 1.0 / m), np.random.default_rng(1).dirichlet(np.ones(m))):
+            assert _newton_tries(monkeypatch, probs, 8, initial_prior=prior)[0] == first
 
 
 def test_ba_tries_newton_after_an_accepted_step_only(monkeypatch):

@@ -618,13 +618,19 @@ def _assert_same_run(alone, together) -> None:
 def test_restart_does_not_depend_on_the_runs_before_it(povm):
     """The seed alone decides a run: over seeds in reverse order, each run
     is exactly the run it is in order, and see_saw_power reports the value
-    of the run at its seed."""
+    of the run at its seed and, unchanged, the members of its ensemble with
+    a positive prior."""
     kernel = solver._Kernel(povm.elements)
     in_order = [solver._run(kernel, seed, 1e-9) for seed in range(6)]
     for seed in reversed(range(6)):
-        _assert_same_run(solver._run(kernel, seed, 1e-9), in_order[seed])
-        values = see_saw_power(povm, SolverConfig(seed=seed)).per_restart_values
-        assert values == (LogBase.BITS.from_nats(in_order[seed].value_nats),)
+        run = in_order[seed]
+        _assert_same_run(solver._run(kernel, seed, 1e-9), run)
+        rep = see_saw_power(povm, SolverConfig(seed=seed))
+        assert rep.per_restart_values == (LogBase.BITS.from_nats(run.value_nats),)
+        kept = run.priors > 0
+        certified = Ensemble.from_pure(run.priors[kept], run.vectors[kept])
+        assert np.array_equal(rep.best_ensemble.priors, certified.priors)
+        assert np.array_equal(rep.best_ensemble.states, certified.states)
 
 
 def test_lbfgs_rows_stop_on_their_own(monkeypatch):
@@ -688,6 +694,26 @@ def test_an_uncertified_run_is_reported_as_it_stands(monkeypatch):
     assert rep.converged is False
     assert rep.per_restart_values == (LogBase.BITS.from_nats(run.value_nats),)
     assert rep.iterations_used == run.iterations == 1
+
+
+def test_run_stops_when_no_weight_on_the_violator_raises_the_rate(monkeypatch):
+    """A claimed violator whose outcome row is the current output q gives
+    the rate (1 - beta) * rate at every weight beta, so the run stops after
+    round 1, uncertified and with no member joined."""
+    members = []
+
+    def probe(q, kernel, rng, n_init, extra=None):
+        members.append(len(extra))
+        return extra[:1], q[None, :], np.array([np.inf])
+
+    monkeypatch.setattr(solver, "_max_relative_entropy_states", probe)
+    p = random_povm(3, 5, seed=1)
+    run = solver._run(solver._Kernel(p.elements), 0, 1e-9)
+    assert run.iterations == 1 and not run.converged
+    assert members == [len(run.vectors)]
+    rep = see_saw_power(p)
+    assert rep.converged is False
+    assert rep.w_estimate == mutual_information(rep.best_ensemble, p)
 
 
 def test_unitary_covariance_of_power():
@@ -880,6 +906,18 @@ def test_symmetric_path_falls_through_on_random_povms(dim, outcomes, povm_seed, 
     rep, starts = _q0_probes(p, monkeypatch)
     assert starts == [max(16, 8 * dim)]
     assert _report_bytes(rep) == _report_bytes(see_saw_power(p, cfg))
+
+
+def test_symmetric_probe_short_of_its_maximum_falls_through():
+    """trine(x)rand2x3 folds to 3 states at q0, whose rate ln(3/2) nats
+    stays short of the probed maximum, so the symmetric path gives up past
+    the screen and the generic run certifies W(trine) + W(rand2x3)."""
+    p = tensor_povm(trine_povm(), random_povm(2, 3, seed=0))
+    assert solver._symmetric_power(p, solver._Kernel(p.elements), SolverConfig()) is None
+    rep = informational_power(p)
+    assert rep.converged and not rep.fast_path_used
+    parts = informational_power(trine_povm()).w_estimate + informational_power(random_povm(2, 3, seed=0)).w_estimate
+    assert rep.w_estimate == pytest.approx(parts, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ["sic", "trine", "hesse", "sic2"])
