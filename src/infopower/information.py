@@ -145,7 +145,7 @@ def relative_entropy_rows(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
     Terms with p_ij = 0 or q_j = 0 contribute 0; a column with q_j = 0
     carries zero output probability.
     """
-    return np.sum(probs * _log_ratio(probs, q), axis=1)
+    return np.add.reduce(probs * _log_ratio(probs, q), axis=1)
 
 
 def channel_mutual_information_nats(prior: np.ndarray, probs: np.ndarray) -> float:
@@ -184,8 +184,10 @@ class BlahutArimotoResult:
     gap: float
 
 
-def _newton_prior(p: np.ndarray, r: np.ndarray, d: np.ndarray, value: float) -> np.ndarray | None:
-    """One active-set Newton step on the capacity KKT conditions, or None.
+def _newton_prior(p: np.ndarray, r: np.ndarray, q: np.ndarray, d: np.ndarray,
+                  value: float) -> np.ndarray | None:
+    """One active-set Newton step on the capacity KKT conditions at the
+    prior ``r`` with output ``q = r p``, or None.
 
     The active set S holds the inputs with r_i > 1e-3 max r or D_i >= I
     (that is, D_i >= max D - gap), so an input at zero, whether the
@@ -208,15 +210,16 @@ def _newton_prior(p: np.ndarray, r: np.ndarray, d: np.ndarray, value: float) -> 
     input that alone feeds an output has D_i -> infinity as r_i -> 0, so it
     belongs to the support, and at q_j = 0 the linearisation breaks down.
     """
-    q = r @ p
     inv_q = np.where(q > _TINY, 1.0 / np.maximum(q, _TINY), 0.0)
-    s = np.flatnonzero((r > 1e-3 * r.max()) | (d >= value))
+    s = ((r > 1e-3 * r.max()) | (d >= value)).nonzero()[0]
     while s.size:
         k = s.size
+        ps = p[s]
         kkt = np.ones((k + 1, k + 1))
-        kkt[:k, :k] = (p[s] * inv_q) @ p[s].T
+        kkt[:k, :k] = (ps * inv_q) @ ps.T
         kkt[k, k] = 0.0
-        rhs = np.append(d[s] + 1.0, 1.0)
+        rhs = np.ones(k + 1)
+        rhs[:k] = d[s] + 1.0
         try:
             x = np.linalg.solve(kkt, rhs)[:k]
         except np.linalg.LinAlgError:
@@ -237,21 +240,21 @@ def _newton_prior(p: np.ndarray, r: np.ndarray, d: np.ndarray, value: float) -> 
         elif x.min() < 0:
             drop = int(np.argmin(x))
         else:
-            trial = np.zeros_like(r)
+            trial = np.zeros(r.shape[0])
             trial[s] = x / x.sum()
             return trial if (trial @ p)[q > 0].min() > 0 else None
         s = np.delete(s, drop)
     return None
 
 
-def _model_step(p: np.ndarray, r: np.ndarray, d: np.ndarray, trial: np.ndarray) -> float:
-    """The t maximising the quadratic model of I(r + t (trial - r)).
+def _model_step(p: np.ndarray, r: np.ndarray, q: np.ndarray, d: np.ndarray, trial: np.ndarray) -> float:
+    """The t maximising the quadratic model of I(r + t (trial - r)) at the
+    prior ``r`` with output ``q = r p``.
 
     Its slope at t = 0 is D.(trial - r) and its curvature -sum_j dq_j^2 / q_j
     with dq = (trial - r) p.
     """
     step = trial - r
-    q = r @ p
     dq = step @ p
     fed = q > _TINY
     curvature = float(np.sum(dq[fed] ** 2 / q[fed]))
@@ -323,14 +326,22 @@ def blahut_arimoto(
     # Quantities that never change across iterations are hoisted: the set of
     # output columns carrying any mass and the per-row entropy term sum_j p log p.
     keep = probs.max(axis=0) > _TINY
+    # The boolean index makes a column-major copy, whatever the order of
+    # ``probs`` and even when every column is kept. It stays: BLAS sums
+    # row-major and column-major operands in different orders, so r @ p and
+    # p @ log q, and with them every report and capacity, would move in
+    # their last bits without it, and the result would depend on the memory
+    # order of the channel.
     p = probs[:, keep]
-    plogp = np.sum(np.where(p > _TINY, p * np.log(np.maximum(p, _TINY)), 0.0), axis=1)
+    plogp = np.add.reduce(np.where(p > _TINY, p * np.log(np.maximum(p, _TINY)), 0.0), axis=1)
 
-    def rates(r: np.ndarray) -> tuple[np.ndarray, float]:
-        d = plogp - p @ np.log(np.maximum(r @ p, _TINY))
-        return d, float(r @ d)
+    def rates(r: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        """D_i, I and the output q = r p at the prior r."""
+        q = r @ p
+        d = plogp - p @ np.log(np.maximum(q, _TINY))
+        return d, float(r @ d), q
 
-    d, value = rates(r)
+    d, value, q = rates(r)
     # a channel with no more inputs than fed outputs tries Newton at once;
     # after that, a try follows every accepted step
     newton = m <= p.shape[1]
@@ -340,25 +351,26 @@ def blahut_arimoto(
             break
         if newton or iterations % _NEWTON_EVERY == 0:
             newton = False
-            trial = _newton_prior(p, r, d, value)
+            trial = _newton_prior(p, r, q, d, value)
             if trial is not None:
-                d_trial, value_trial = rates(trial)
+                d_trial, value_trial, q_trial = rates(trial)
                 if not _improves(d, value, d_trial, value_trial):
                     # the full step overshoots: stop where the quadratic
                     # model of I along it peaks
-                    t = _model_step(p, r, d, trial)
+                    t = _model_step(p, r, q, d, trial)
                     if 0.0 < t < 1.0:
                         trial = r + t * (trial - r)
-                        d_trial, value_trial = rates(trial)
+                        d_trial, value_trial, q_trial = rates(trial)
                 if _improves(d, value, d_trial, value_trial):
-                    r, d, value = trial, d_trial, value_trial
+                    r, d, value, q = trial, d_trial, value_trial, q_trial
                     newton = True
                     continue
         pos = r > 0
-        w = r[pos] * np.exp(d[pos] - d[pos].max())
+        d_pos = d[pos]
+        w = r[pos] * np.exp(d_pos - d_pos.max())
         r = np.zeros(m)
         r[pos] = w / w.sum()
-        d, value = rates(r)
+        d, value, q = rates(r)
     gap = float(d.max() - value)
     return BlahutArimotoResult(
         capacity=base.from_nats(value),

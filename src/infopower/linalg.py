@@ -7,6 +7,8 @@ Hermiticity violations never reach the eigensolver.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import (
@@ -103,6 +105,17 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+@functools.lru_cache(maxsize=256)
+def _combination(n: int) -> np.ndarray:
+    """The seeded coefficients of ``simultaneous_eigenbasis`` for ``n``
+    matrices: ``default_rng(0).standard_normal(n)``, drawn once per ``n``
+    (for the 256 most recent lengths) and read-only, so that no caller can
+    change a later decision through them."""
+    coeffs = np.random.default_rng(0).standard_normal(n)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
 def simultaneous_eigenbasis(ms: np.ndarray | list[np.ndarray]) -> np.ndarray:
     """Common orthonormal eigenbasis of a family of commuting Hermitian matrices.
 
@@ -124,11 +137,14 @@ def simultaneous_eigenbasis(ms: np.ndarray | list[np.ndarray]) -> np.ndarray:
     if not len(ms):
         raise ValueError("simultaneous_eigenbasis: empty matrix list")
     ms = hermitize(ms)
-    coeffs = np.random.default_rng(0).standard_normal(len(ms))
-    _, v = eigh(np.tensordot(coeffs, ms, axes=1))
+    n, dim = ms.shape[0], ms.shape[-1]
+    # np.tensordot(coeffs, ms, axes=1) without its wrapper: the same np.dot
+    # of the same operands, so the basis keeps its bits
+    _, v = eigh(np.dot(_combination(n)[None], ms.reshape(n, dim * dim)).reshape(dim, dim))
     rotated = v.conj().T @ ms @ v
-    offdiag = np.abs(rotated * (1.0 - np.eye(v.shape[0]))).max(axis=(1, 2))
-    bad = np.flatnonzero(offdiag > COMMUTING_TOL)
+    rotated.reshape(n, dim * dim)[:, :: dim + 1] = 0.0  # the diagonals
+    offdiag = np.abs(rotated).max(axis=(1, 2))
+    bad = (offdiag > COMMUTING_TOL).nonzero()[0]
     if bad.size:
         j = int(bad[0])
         raise NotCommuting(

@@ -61,9 +61,15 @@ def _hermitian(m: np.ndarray, ndim: int, what: str) -> tuple[np.ndarray, np.ndar
     if not np.isfinite(m).all():
         raise ValueError(f"{what} contains non-finite entries")
     mh = np.conj(np.swapaxes(m, -1, -2))
-    skew = np.linalg.norm((m - mh).reshape(-1, m.shape[-1] ** 2), axis=1)
+    skew = _row_norms((m - mh).reshape(-1, m.shape[-1] ** 2))
     m = 0.5 * (m + mh)  # linalg.hermitize, sharing m†
     return m, np.linalg.eigvalsh(m.reshape(-1, *m.shape[-2:]))[:, 0], skew
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a complex matrix: the reduction that
+    ``np.linalg.norm(x, axis=-1)`` runs, without its argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
 
 
 def _probability_rows(p: np.ndarray, ndim: int, tol: float, what: str) -> np.ndarray:
@@ -74,7 +80,7 @@ def _probability_rows(p: np.ndarray, ndim: int, tol: float, what: str) -> np.nda
         raise ValueError(f"{what} must be {ndim}-D and non-empty, got shape {p.shape}")
     if not np.isfinite(p).all():
         raise ValueError(f"{what} contains non-finite entries")
-    if (p < 0).any():
+    if p.min() < 0:
         raise ValueError(f"{what}: negative entry {float(p.min())!r}")
     sums = p.sum(axis=-1)
     dev = abs(sums - 1.0)
@@ -88,8 +94,8 @@ def _probability_rows(p: np.ndarray, ndim: int, tol: float, what: str) -> np.nda
 def _density_matrices(m: np.ndarray, ndim: int, what: str) -> np.ndarray:
     """``m`` hermitized, once checked to hold density matrices (errors name a stack's first bad one)."""
     m, w0, skew = _hermitian(m, ndim, what)
-    tr = np.trace(m, axis1=-2, axis2=-1).real.reshape(-1)
-    bad = np.flatnonzero((skew > linalg.PSD_TOL) | (w0 < -linalg.PSD_TOL) | (np.abs(tr - 1.0) > 1e-10))
+    tr = m.trace(axis1=-2, axis2=-1).real.reshape(-1)
+    bad = ((skew > linalg.PSD_TOL) | (w0 < -linalg.PSD_TOL) | (np.abs(tr - 1.0) > 1e-10)).nonzero()[0]
     if bad.size:
         i = int(bad[0])
         name = what if ndim == 2 else f"{what} {i}"
@@ -106,7 +112,9 @@ def _povm_residuals(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     |m - m†|_F, and |sum - I|_F of the stack as given."""
     e = np.asarray(elements, dtype=complex)
     h, w0, skew = _hermitian(e, 3, "POVM")
-    return h, w0, skew, float(np.linalg.norm(e.sum(axis=0) - np.eye(e.shape[1])))
+    # |sum - I|_F as np.linalg.norm computes it, from the real and imaginary parts
+    dev = (e.sum(axis=0) - np.eye(e.shape[1])).ravel()
+    return h, w0, skew, float(np.sqrt(dev.real.dot(dev.real) + dev.imag.dot(dev.imag)))
 
 
 @dataclass(frozen=True)
@@ -136,12 +144,12 @@ class Povm:
 
     def __post_init__(self) -> None:
         e, w0, skew, residual = _povm_residuals(self.elements)
-        bad = np.flatnonzero(skew > self.psd_tol)
+        bad = (skew > self.psd_tol).nonzero()[0]
         if bad.size:
             j = int(bad[0])
             raise ValueError(f"POVM element {j} is not Hermitian: |m - m†|_F = {skew[j]:.3e} "
                              f"above {self.psd_tol:.0e}")
-        bad = np.flatnonzero(w0 < -self.psd_tol)
+        bad = (w0 < -self.psd_tol).nonzero()[0]
         if bad.size:
             j = int(bad[0])
             raise NotPositiveSemidefinite(f"POVM element {j} has eigenvalue {w0[j]:.3e} "
@@ -208,7 +216,7 @@ class Ensemble:
     def from_pure(priors: np.ndarray, vectors: np.ndarray) -> "Ensemble":
         """Build an ensemble of pure states from unit row vectors (M, D)."""
         v = np.asarray(vectors, dtype=complex)
-        norms = np.linalg.norm(v, axis=-1)
+        norms = _row_norms(v)
         bad = np.abs(norms - 1.0) > 1e-12
         if bad.any():
             raise ValueError(f"pure state norm {float(norms[bad][0])!r} is not 1 within 1e-12")

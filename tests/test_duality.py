@@ -22,8 +22,10 @@ from infopower.objects import (
     random_povm,
     standard_projective_povm,
     tetrahedral_sic_povm,
+    trine_povm,
     validate_povm,
 )
+from infopower.solver import informational_power
 
 from helpers import SIC_W_BITS, random_density
 
@@ -66,6 +68,30 @@ def test_duality_consistency_at_sic_optimum():
     dual_ensemble, _ = ensemble_from_povm(p, maximally_mixed(2))
     dual_povm = povm_from_ensemble(anti_tetrahedral_ensemble())
     assert mutual_information(dual_ensemble, dual_povm) == pytest.approx(SIC_W_BITS, abs=1e-6)
+
+
+SECOND_CHARACTERIZATION_POVMS = {
+    "sic": tetrahedral_sic_povm,
+    "trine": trine_povm,
+    "rand2x3.0": lambda: random_povm(2, 3, seed=0),
+    "rand3x5.1": lambda: random_povm(3, 5, seed=1),
+    "rand4x8.2": lambda: random_povm(4, 8, seed=2),
+    "rand3x9.3": lambda: random_povm(3, 9, seed=3),
+    "rand5x10.4": lambda: random_povm(5, 10, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECOND_CHARACTERIZATION_POVMS))
+def test_second_characterization_reaches_w_at_the_solved_average(name):
+    """W(Pi) = max over sigma of the accessible information of R(Pi, sigma),
+    reached at sigma*, the average of the solved ensemble R*: measuring
+    R(Pi, sigma*) with the POVM that R* induces gives W."""
+    p = SECOND_CHARACTERIZATION_POVMS[name]()
+    report = informational_power(p)
+    assert report.converged
+    dual, _ = ensemble_from_povm(p, ensemble_average(report.best_ensemble))
+    reached = mutual_information(dual, povm_from_ensemble(report.best_ensemble))
+    assert abs(reached - report.w_estimate) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -128,3 +128,20 @@ def test_simultaneous_eigenbasis_names_first_noncommuting_matrix():
     z = np.diag([0.0, 1.0, -1.0])
     with pytest.raises(NotCommuting, match="matrix 1 "):
         linalg.simultaneous_eigenbasis([a, x, z])
+
+
+def test_simultaneous_eigenbasis_combination_is_cached_and_read_only():
+    """The seeded combination is drawn once per length and cannot be
+    written, so no caller can change a later commuting decision through
+    it; the basis is the one the uncached tensordot combination gives."""
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 7, 32):
+        coeffs = linalg._combination(n)
+        assert coeffs is linalg._combination(n)
+        assert np.array_equal(coeffs, np.random.default_rng(0).standard_normal(n))
+        with pytest.raises(ValueError):
+            coeffs[0] = 0.0
+        u = random_unitary(3, rng)
+        family = linalg.hermitize(np.stack([(u * rng.random(3)) @ u.conj().T for _ in range(n)]))
+        _, v = linalg.eigh(np.tensordot(np.random.default_rng(0).standard_normal(n), family, axes=1))
+        assert np.array_equal(linalg.simultaneous_eigenbasis(family), v)
