@@ -30,8 +30,8 @@ slow = see_saw_power(povm, SolverConfig(seed=1))
 print(f"random commuting POVM, D = {dim}, {outcomes} outcomes")
 print(f"  max commutator norm = {povm.max_commutator_norm():.3e}")
 print(f"  fast path  W = {fast.w_estimate:.12f} bits "
-      f"({fast.pruned_to} basis states, {fast.iterations_used} BA iterations)")
+      f"({len(fast.best_ensemble)} basis states, {fast.iterations_used} BA iterations)")
 print(f"  generic    W = {slow.w_estimate:.12f} bits "
-      f"({slow.pruned_to} states, converged = {slow.converged})")
+      f"({len(slow.best_ensemble)} states, converged = {slow.converged})")
 print(f"  difference   = {abs(fast.w_estimate - slow.w_estimate):.3e} bits")
-print(f"  fast-path ensemble size <= D: {fast.pruned_to} <= {dim}")
+print(f"  fast-path ensemble size <= D: {len(fast.best_ensemble)} <= {dim}")

@@ -25,7 +25,7 @@ print("tetrahedral SIC POVM, D = 2, 4 outcomes")
 print(f"  W (solver)         = {report.w_estimate:.12f} bits")
 print(f"  log2(4/3)          = {np.log2(4 / 3):.12f} bits")
 print(f"  converged          = {report.converged}")
-print(f"  ensemble size      = {report.pruned_to} states "
+print(f"  ensemble size      = {len(report.best_ensemble)} states "
       f"(Davies bound: at most {report.bound_check.upper})")
 
 # The closed-form optimum: the anti-tetrahedral ensemble.

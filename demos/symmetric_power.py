@@ -40,6 +40,6 @@ for name, povm, closed in cases:
     report = informational_power(povm)
     elapsed = time.perf_counter() - t0
     print(f"{name:10s} {povm.dim:2d} {povm.num_outcomes:3d} {report.w_estimate:16.12f} "
-          f"{closed:16.12f} {abs(report.w_estimate - closed):9.1e} {report.pruned_to:6d} "
+          f"{closed:16.12f} {abs(report.w_estimate - closed):9.1e} {len(report.best_ensemble):6d} "
           f"{report.iterations_used:6d} {elapsed:7.3f}s")
 print("(1 round: the symmetric certificate answered; the generic solver reports its own)")

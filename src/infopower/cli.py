@@ -67,12 +67,12 @@ def _resolve_seed(value: int | None) -> int:
     return 0
 
 
-def _load_povm_input(args: argparse.Namespace, tol: float = serialize.INGEST_TOL) -> Povm:
+def _load_povm_input(args: argparse.Namespace) -> Povm:
     if args.example is not None:
         return example_povm(args.example)
     if args.path is None:
         raise SchemaError("either a file path or --example is required")
-    return serialize.povm_from_document(serialize.load_document(args.path), tol=tol)
+    return serialize.povm_from_document(serialize.load_document(args.path))
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--tol", type=float, default=SolverConfig.tol,
                    help="certificate margin is max(10*tol, 1e-9) nats; "
-                        "commuting POVMs stop at min(1e-12, tol) bits")
+                        "commuting POVMs are solved to 1e-12 bits whatever tol")
     p.add_argument("--seed", type=int, default=None,
                    help="seeds the solver's random draws; fallback: INFOPOWER_SEED, then 0")
     p.add_argument("--base", choices=[b.value for b in LogBase], default=SolverConfig.base.value)

@@ -301,14 +301,15 @@ def blahut_arimoto(
     Newton step finds that face and lands on its optimum, quadratically
     once it may step on every pass, so the step that meets ``tol`` can
     leave a gap anywhere below it and one more step takes it to roundoff.
-    ``iterations`` counts every pass, Newton steps included. ``max_iter``
-    must be an integer >= 1.
+    ``iterations`` counts every pass, Newton steps included. ``tol`` must
+    be positive and finite and ``max_iter`` an integer >= 1; a bool is
+    neither.
 
     ``initial_prior`` only sets where the iteration starts: an entry at
     exact zero, given or reached, can re-enter through the Newton step's
     active set.
     """
-    if not 0.0 < tol < np.inf:
+    if isinstance(tol, bool) or not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")

@@ -187,7 +187,6 @@ def report_to_document(rep: PowerReport) -> dict:
         "converged": bool(rep.converged),
         "iterations_used": int(rep.iterations_used),
         "fast_path_used": bool(rep.fast_path_used),
-        "pruned_to": int(rep.pruned_to),
         "bound_check": dataclasses.asdict(rep.bound_check),
     }
 

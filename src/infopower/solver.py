@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import NotCommuting
+from .errors import DimensionMismatch, NotCommuting
 from .information import (
     _TINY,
     _log_ratio,
@@ -57,7 +57,7 @@ from .information import (
     channel_mutual_information_nats,
     mutual_information,
 )
-from .objects import Ensemble, Povm
+from .objects import Ensemble, Povm, tensor_povm
 
 INNER_BA_TOL = 1e-12
 INNER_BA_CAP = 2000
@@ -76,11 +76,12 @@ class SolverConfig:
 
     ``tol`` sets the certificate margin max(10*tol, 1e-9) nats: the run
     is certified when no pure state beats its rate by more than that.
-    The commuting fast path reads it in bits instead: it stops at
-    min(1e-12, tol) bits in either ``base``. ``seed`` decides the run's
-    random draws. The run starts from D^2 random pure states (the Davies
-    bound), runs at most ``MAX_ROUNDS`` column-generation rounds, and
-    compaction drops ensemble members below ``PRUNE_TOL``.
+    The commuting fast path has no margin and reads only ``base``.
+    ``seed`` decides the run's random draws. The run starts from D^2
+    random pure states (the Davies bound), runs at most ``MAX_ROUNDS``
+    column-generation rounds, and compaction drops ensemble members below
+    ``PRUNE_TOL``. ``tol`` must be positive and finite and ``seed`` an
+    integer >= 0; a bool is neither.
     """
 
     tol: float = 1e-9
@@ -88,7 +89,7 @@ class SolverConfig:
     base: LogBase = LogBase.BITS
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tol < np.inf:
+        if isinstance(self.tol, bool) or not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
@@ -124,7 +125,6 @@ class PowerReport:
     converged: bool
     iterations_used: int
     fast_path_used: bool
-    pruned_to: int
     bound_check: BoundCheck
     base: LogBase = field(default=LogBase.BITS)
 
@@ -500,25 +500,22 @@ def _run(kernel: _Kernel, seed: int, tol: float) -> _RunOutcome:
 
 
 def _power_report(p: Povm, vectors: np.ndarray, prior: np.ndarray, base: LogBase, *,
-                  converged: bool, iterations_used: int, fast_path_used: bool,
-                  per_restart_values: tuple[float, ...] | None = None) -> PowerReport:
+                  converged: bool, iterations_used: int, fast_path_used: bool) -> PowerReport:
     """The report on the members of the pure-state ensemble
     ``(vectors, prior)`` with a positive prior, built here for all three
     solver paths. W is recomputed from that ensemble, and
-    ``per_restart_values`` defaults to that W."""
+    ``per_restart_values`` holds that W alone."""
     vectors, prior = vectors[prior > 0], prior[prior > 0]
     ensemble = Ensemble.from_pure(prior, vectors)
     w = mutual_information(ensemble, p, base)
-    m_eff = vectors.shape[0]
     return PowerReport(
         w_estimate=w,
         best_ensemble=ensemble,
-        per_restart_values=(w,) if per_restart_values is None else per_restart_values,
+        per_restart_values=(w,),
         converged=converged,
         iterations_used=iterations_used,
         fast_path_used=fast_path_used,
-        pruned_to=m_eff,
-        bound_check=_bound_check(p, m_eff),
+        bound_check=_bound_check(p, vectors.shape[0]),
         base=base,
     )
 
@@ -537,8 +534,7 @@ def see_saw_power(p: Povm, cfg: SolverConfig | None = None) -> PowerReport:
     certificate margin (max(10*tol, 1e-9) nats), which bounds W by the
     run's rate plus the margin. When it did not, the report says so and
     nothing else runs. ``iterations_used`` counts the run's
-    column-generation rounds, and ``per_restart_values`` holds the run's
-    own value.
+    column-generation rounds.
 
     A corpus of 414 POVMs certified from this single run at the default
     configuration, in about 20 s on one core of a 2-vCPU x86 host:
@@ -562,8 +558,7 @@ def _generic_power(p: Povm, kernel: _Kernel, cfg: SolverConfig) -> PowerReport:
     """``see_saw_power`` on the kernel of ``p`` that the caller built."""
     run = _run(kernel, cfg.seed, cfg.tol)
     return _power_report(p, run.vectors, run.priors, cfg.base, converged=run.converged,
-                         iterations_used=run.iterations, fast_path_used=False,
-                         per_restart_values=(cfg.base.from_nats(run.value_nats),))
+                         iterations_used=run.iterations, fast_path_used=False)
 
 
 def commuting_fast_path(p: Povm, cfg: SolverConfig | None = None) -> PowerReport:
@@ -571,12 +566,13 @@ def commuting_fast_path(p: Povm, cfg: SolverConfig | None = None) -> PowerReport
 
     A maximally informative ensemble lives on the common eigenbasis, so
     the problem reduces to the classical channel p(j|i) = <i|Pi_j|i> and a
-    single Blahut-Arimoto run is exact to its tolerance, min(1e-12,
-    ``cfg.tol``) bits in either ``cfg.base``, so a report in nats is the
-    report in bits converted. The run tries the Newton step on pass 1 when
-    the D inputs are no more than the nonzero elements (on pass 8
-    otherwise), and on every pass after a step lands; a run that ends on
-    such steps stops at a gap of tol / 16.
+    single Blahut-Arimoto run is exact to its tolerance, ``INNER_BA_TOL``
+    (1e-12) bits whatever ``cfg.tol``; of ``cfg`` only ``base`` is read,
+    so a report in nats is the report in bits converted. The run tries
+    the Newton step on pass 1 when the D inputs are no more than the
+    nonzero elements (on pass 8 otherwise), and on every pass after a
+    step lands; a run that ends on such steps stops at a gap of 1e-12 / 16
+    bits.
     The reported ensemble is the support of that run's prior:
     the eigenvectors with a positive weight. The elements count as
     commuting when the eigenbasis of a fixed random combination of them
@@ -586,7 +582,7 @@ def commuting_fast_path(p: Povm, cfg: SolverConfig | None = None) -> PowerReport
     cfg = cfg or SolverConfig()
     basis = linalg.simultaneous_eigenbasis(p.elements)
     res = blahut_arimoto(_stochastic(_channel_probs(basis.T, _Kernel(p.elements))),
-                         tol=min(INNER_BA_TOL, cfg.tol), base=LogBase.BITS)
+                         tol=INNER_BA_TOL, base=LogBase.BITS)
     return _power_report(p, basis.T, res.optimal_prior.probs, cfg.base, converged=res.converged,
                          iterations_used=res.iterations, fast_path_used=True)
 
@@ -613,7 +609,7 @@ def _symmetric_power(p: Povm, kernel: _Kernel, cfg: SolverConfig) -> PowerReport
     POVMs fold to one, so on them a failure costs one screen of
     max(16, 8D) starts. Only the second probe can certify: the screen's
     fewer starts can leave a maximum short of the margin. The report
-    counts one iteration and one value.
+    counts one iteration.
     """
     dim = p.dim
     margin = _margin(cfg.tol)
@@ -669,10 +665,11 @@ def state_gradient(e: Ensemble, p: Povm) -> list[np.ndarray]:
     g_i = 2 p_i sum_j ln(p(j|i)/q_j) Pi_j |psi_i>, projected onto the
     tangent space of the unit sphere: g_i - Re<psi_i|g_i> |psi_i>.
     Probabilities are clamped at 1e-300 and zero-probability outcomes
-    contribute nothing. Raises on mixed-state members.
+    contribute nothing. Raises ValueError on mixed-state members and
+    DimensionMismatch when the ensemble and the POVM differ in dimension.
     """
     if e.dim != p.dim:
-        raise ValueError(f"ensemble dim {e.dim} vs POVM dim {p.dim}")
+        raise DimensionMismatch(f"ensemble dim {e.dim} vs POVM dim {p.dim}")
     vectors = _pure_vectors(e)
     kernel = _Kernel(p.elements)
     probs = _channel_probs(vectors, kernel)
@@ -692,8 +689,6 @@ def _pure_vectors(e: Ensemble, tol: float = 1e-8) -> np.ndarray:
 
 def additivity_check(p1: Povm, p2: Povm, cfg: SolverConfig | None = None) -> AdditivityReport:
     """Compare W(Pi1 (x) Pi2) against W(Pi1) + W(Pi2); theory: equal."""
-    from .objects import tensor_povm
-
     cfg = cfg or SolverConfig()
     r1 = informational_power(p1, cfg)
     r2 = informational_power(p2, cfg)

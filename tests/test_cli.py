@@ -115,14 +115,14 @@ def test_solve_from_file_with_flags(tmp_path, capsys):
 
 def test_solve_generic_file_reports_one_restart_when_it_certifies(tmp_path, capsys):
     # rand3x5 fails the symmetric probe; the generic run certifies it and
-    # the report holds that run's one value
+    # the report holds the printed W as its one value
     path = write_povm(tmp_path, "rand3x5.json", random_povm(3, 5, seed=1))
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "solve", path, "--out", str(out_path))
     assert code == 0
     doc = json.loads(out_path.read_text(encoding="utf-8"))
     assert doc["converged"] is True and doc["fast_path_used"] is False
-    assert doc["per_restart_values"] == [pytest.approx(float(out.strip()), abs=1e-6)]
+    assert doc["per_restart_values"] == [doc["w_estimate"]] == [float(out.strip())]
 
 
 def test_solve_warns_when_the_solver_does_not_converge(tmp_path, capsys, monkeypatch):

@@ -286,7 +286,7 @@ def test_ba_warm_start_zero_entries_reenter():
 
 def test_ba_rejects_bad_inputs():
     ch = ClassicalChannel(np.array([[0.5, 0.5]]))
-    for tol in (0.0, float("nan"), float("inf")):
+    for tol in (0.0, float("nan"), float("inf"), True):
         with pytest.raises(ValueError, match="tol"):
             blahut_arimoto(ch, tol=tol)
     with pytest.raises(ValueError):

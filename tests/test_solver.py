@@ -1,11 +1,12 @@
 import copy
+from collections.abc import Callable
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from infopower import linalg, serialize, solver
-from infopower.errors import NotCommuting
+from infopower.errors import DimensionMismatch, NotCommuting
 from infopower.information import LN2, LogBase, channel_mutual_information_nats, mutual_information
 from infopower.objects import (
     Ensemble,
@@ -55,7 +56,7 @@ from helpers import (
 
 
 def test_solver_config_validation():
-    for tol in (0.0, float("nan"), float("inf")):
+    for tol in (0.0, float("nan"), float("inf"), True):
         with pytest.raises(ValueError, match="tol"):
             SolverConfig(tol=tol)
     for seed in (-1, 1.5, True, "3", np.float64(2.0)):
@@ -73,7 +74,7 @@ def test_fast_path_projective_baselines():
         rep = commuting_fast_path(standard_projective_povm(dim))
         assert rep.fast_path_used
         assert rep.w_estimate == pytest.approx(np.log2(dim), abs=1e-9)
-        assert rep.pruned_to == dim
+        assert len(rep.best_ensemble) == dim
 
 
 def test_fast_path_rejects_noncommuting():
@@ -87,7 +88,7 @@ def test_fast_path_m_eff_at_most_dim():
         dim = 2 + seed % 2
         p = Povm(random_commuting_elements(dim, dim + 2, rng))
         rep = commuting_fast_path(p)
-        assert rep.pruned_to <= dim
+        assert len(rep.best_ensemble) <= dim
         assert rep.converged
 
 
@@ -167,9 +168,22 @@ def test_commuting_reports_do_not_depend_on_the_unit():
         nats = informational_power(p, SolverConfig(base=LogBase.NATS))
         assert bits.fast_path_used and nats.fast_path_used
         assert bits.iterations_used == nats.iterations_used
-        assert bits.pruned_to == nats.pruned_to
+        assert len(bits.best_ensemble) == len(nats.best_ensemble)
         assert np.array_equal(bits.best_ensemble.priors, nats.best_ensemble.priors)
         assert bits.w_estimate * LN2 == pytest.approx(nats.w_estimate, abs=1e-15)
+
+
+def test_commuting_reports_do_not_depend_on_tol():
+    """The fast path solves to ``INNER_BA_TOL`` bits whatever ``tol``,
+    which sets only the certificate margin of the other two paths."""
+    rng = np.random.default_rng(2)
+    for _ in range(10):
+        dim = int(rng.integers(2, 6))
+        channel = rng.dirichlet(np.full(int(rng.integers(dim + 1, 3 * dim + 1)), 0.5), size=dim)
+        p = Povm(_rotated(random_unitary(dim, rng), channel))
+        reports = [informational_power(p, SolverConfig(tol=tol)) for tol in (1e-15, 1e-12, 1e-9, 1e-6)]
+        assert all(rep.fast_path_used for rep in reports)
+        assert len({_report_bytes(rep) for rep in reports}) == 1
 
 
 @pytest.mark.parametrize("elements,w_bits", _edge_corpus())
@@ -312,13 +326,13 @@ def test_see_saw_sic():
     rep = see_saw_power(tetrahedral_sic_povm(), SolverConfig(seed=0))
     assert rep.w_estimate == pytest.approx(SIC_W_BITS, abs=1e-9)
     assert rep.converged
-    assert rep.pruned_to == 4
+    assert len(rep.best_ensemble) == 4
 
 
 def test_see_saw_trine():
     rep = see_saw_power(trine_povm(), SolverConfig(seed=0))
     assert rep.w_estimate == pytest.approx(TRINE_W_BITS, abs=1e-9)
-    assert rep.pruned_to == 3
+    assert len(rep.best_ensemble) == 3
     assert rep.bound_check.real_entries
     assert rep.bound_check.real_passed
 
@@ -332,21 +346,23 @@ def test_see_saw_joins_violators_on_the_sic_squared():
     assert rep.w_estimate == pytest.approx(2 * SIC_W_BITS, abs=1e-9)
 
 
-def test_report_invariants():
-    p = tetrahedral_sic_povm()
-    cfg = SolverConfig(seed=1)
-    rep = see_saw_power(p, cfg)
+@pytest.mark.parametrize(
+    "solve, p",
+    [
+        pytest.param(commuting_fast_path, standard_projective_povm(3), id="commuting"),
+        pytest.param(informational_power, tetrahedral_sic_povm(), id="symmetric"),
+        pytest.param(see_saw_power, tetrahedral_sic_povm(), id="generic"),
+    ],
+)
+def test_report_invariants(solve, p):
+    """Each path states each fact once: W is the recomputed mutual
+    information of the reported ensemble, ``per_restart_values`` is that
+    W alone, and the bound check counts the reported members."""
+    rep = solve(p, SolverConfig(seed=1))
     assert isinstance(rep, PowerReport)
-    # lower-bound soundness: the reported value is the recomputed mutual
-    # information of the reported ensemble
-    assert rep.w_estimate == pytest.approx(
-        mutual_information(rep.best_ensemble, p), abs=1e-12
-    )
-    # one run, one value
-    assert len(rep.per_restart_values) == 1
-    assert max(rep.per_restart_values) <= rep.w_estimate + 1e-9
-    assert rep.pruned_to == len(rep.best_ensemble)
-    assert rep.bound_check.m_eff == rep.pruned_to
+    assert rep.w_estimate == mutual_information(rep.best_ensemble, p)
+    assert rep.per_restart_values == (rep.w_estimate,)
+    assert rep.bound_check.m_eff == len(rep.best_ensemble)
     assert rep.base is LogBase.BITS
 
 
@@ -626,7 +642,8 @@ def test_restart_does_not_depend_on_the_runs_before_it(povm):
         run = in_order[seed]
         _assert_same_run(solver._run(kernel, seed, 1e-9), run)
         rep = see_saw_power(povm, SolverConfig(seed=seed))
-        assert rep.per_restart_values == (LogBase.BITS.from_nats(run.value_nats),)
+        assert rep.per_restart_values == (rep.w_estimate,)
+        assert rep.w_estimate == pytest.approx(LogBase.BITS.from_nats(run.value_nats), abs=1e-14)
         kept = run.priors > 0
         certified = Ensemble.from_pure(run.priors[kept], run.vectors[kept])
         assert np.array_equal(rep.best_ensemble.priors, certified.priors)
@@ -692,7 +709,8 @@ def test_an_uncertified_run_is_reported_as_it_stands(monkeypatch):
     rep = see_saw_power(p)
     assert not run.converged
     assert rep.converged is False
-    assert rep.per_restart_values == (LogBase.BITS.from_nats(run.value_nats),)
+    assert rep.per_restart_values == (rep.w_estimate,)
+    assert rep.w_estimate == pytest.approx(LogBase.BITS.from_nats(run.value_nats), abs=1e-14)
     assert rep.iterations_used == run.iterations == 1
 
 
@@ -798,15 +816,28 @@ def test_coarse_graining_never_raises_power(shape, seed, data):
 COVARIANT = {"sic": tetrahedral_sic_povm, "trine": trine_povm, "hesse": hesse_sic_povm}
 
 
-def _is_symmetric_report(rep: PowerReport) -> bool:
-    return (rep.converged and rep.iterations_used == 1 and not rep.fast_path_used
-            and rep.per_restart_values == (rep.w_estimate,))
+def _symmetric_report(solve: Callable[[], PowerReport | None]) -> PowerReport:
+    """The report ``solve()`` returns, checked to come from the symmetric
+    path: certified in one iteration past the fast path, with the generic
+    run, ``solver._run``, never called."""
+    runs = []
+    run = solver._run
+
+    def spy(*args):
+        runs.append(args)
+        return run(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_run", spy)
+        rep = solve()
+    assert not runs
+    assert rep is not None and rep.converged and rep.iterations_used == 1 and not rep.fast_path_used
+    return rep
 
 
 def test_hesse_sic_power_on_both_paths():
     p = hesse_sic_povm()
-    sym = informational_power(p)
-    assert _is_symmetric_report(sym)
+    sym = _symmetric_report(lambda: informational_power(p))
     assert sym.w_estimate == pytest.approx(HESSE_W_BITS, abs=1e-9)
     generic = see_saw_power(p)
     assert generic.converged
@@ -814,8 +845,7 @@ def test_hesse_sic_power_on_both_paths():
 
 
 def test_symmetric_path_certifies_the_sic_cubed():
-    rep = informational_power(tensor_power(tetrahedral_sic_povm(), 3))
-    assert _is_symmetric_report(rep)
+    rep = _symmetric_report(lambda: informational_power(tensor_power(tetrahedral_sic_povm(), 3)))
     assert rep.w_estimate == pytest.approx(3 * SIC_W_BITS, abs=1e-9)
 
 
@@ -826,8 +856,7 @@ def test_symmetric_path_agrees_with_the_generic_solver_on_rotated_covariant_povm
     u = random_unitary(base.dim, np.random.default_rng(seed))
     p = Povm(u @ base.elements @ u.conj().T)
     cfg = SolverConfig(seed=seed)
-    sym = solver._symmetric_power(p, solver._Kernel(p.elements), cfg)
-    assert sym is not None and _is_symmetric_report(sym)
+    sym = _symmetric_report(lambda: solver._symmetric_power(p, solver._Kernel(p.elements), cfg))
     assert sym.w_estimate == pytest.approx(see_saw_power(p, cfg).w_estimate, abs=1e-9)
 
 
@@ -838,8 +867,8 @@ def test_symmetric_reports_of_rotated_covariant_povms_hit_the_closed_form(name):
     for seed in range(25):
         u = random_unitary(base.dim, np.random.default_rng(seed))
         p = Povm(u @ base.elements @ u.conj().T)
-        rep = solver._symmetric_power(p, solver._Kernel(p.elements), SolverConfig(seed=seed))
-        assert rep is not None and _is_symmetric_report(rep), seed
+        rep = _symmetric_report(
+            lambda: solver._symmetric_power(p, solver._Kernel(p.elements), SolverConfig(seed=seed)))
         assert rep.w_estimate == pytest.approx(exact, abs=1e-12), seed
 
 
@@ -867,14 +896,13 @@ def test_symmetric_fold_keeps_the_best_copy_of_each_maximum(monkeypatch):
     assert np.abs(below[0].conj() @ anti[0]) ** 2 > 1.0 - solver.MERGE_OVERLAP_TOL
 
     monkeypatch.setattr(solver, "_max_relative_entropy_states", lambda *args: (vectors, probs, vals))
-    rep = solver._symmetric_power(p, kernel, SolverConfig())
-    assert rep is not None and _is_symmetric_report(rep)
+    rep = _symmetric_report(lambda: solver._symmetric_power(p, kernel, SolverConfig()))
     assert rep.w_estimate == pytest.approx(SIC_W_BITS, abs=1e-12)
 
 
-def _q0_probes(p, monkeypatch):
-    """``informational_power``'s report on ``p`` with the start count of
-    each probe it runs at q0; the generic run's probes also start from its
+def _q0_probe_starts(p, monkeypatch) -> list[int]:
+    """The list that takes the start count of each probe at q0 of ``p``
+    run from here on; the generic run's probes also start from its
     ensemble, so they pass ``extra``."""
     q0 = np.trace(p.elements, axis1=1, axis2=2).real / p.dim
     probe = solver._max_relative_entropy_states
@@ -887,7 +915,7 @@ def _q0_probes(p, monkeypatch):
         return probe(q, kernel, rng, n_init, extra)
 
     monkeypatch.setattr(solver, "_max_relative_entropy_states", spy)
-    return informational_power(p), starts
+    return starts
 
 
 def _report_bytes(rep: PowerReport) -> str:
@@ -903,7 +931,8 @@ def test_symmetric_path_falls_through_on_random_povms(dim, outcomes, povm_seed, 
     p = random_povm(dim, outcomes, seed=povm_seed)
     cfg = SolverConfig(seed=0)
     assert solver._symmetric_power(p, solver._Kernel(p.elements), cfg) is None
-    rep, starts = _q0_probes(p, monkeypatch)
+    starts = _q0_probe_starts(p, monkeypatch)
+    rep = informational_power(p)
     assert starts == [max(16, 8 * dim)]
     assert _report_bytes(rep) == _report_bytes(see_saw_power(p, cfg))
 
@@ -925,9 +954,9 @@ def test_screen_passes_symmetric_povms_to_the_full_probe(name, monkeypatch):
     """A symmetric POVM passes the screen, and the second probe at q0, of
     max(64, 8D^2) starts, certifies it."""
     p = {**COVARIANT, "sic2": lambda: tensor_power(tetrahedral_sic_povm(), 2)}[name]()
-    rep, starts = _q0_probes(p, monkeypatch)
+    starts = _q0_probe_starts(p, monkeypatch)
+    _symmetric_report(lambda: informational_power(p))
     assert starts == [max(16, 8 * p.dim), max(64, 8 * p.dim**2)]
-    assert _is_symmetric_report(rep)
 
 
 def test_sic_probe_maxima_at_the_uniform_output_are_the_anti_aligned_states():
@@ -1024,7 +1053,7 @@ def test_state_gradient_rejects_mixed_members():
 
 
 def test_state_gradient_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         state_gradient(anti_tetrahedral_ensemble(), standard_projective_povm(3))
 
 
