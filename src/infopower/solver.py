@@ -27,14 +27,16 @@ not, the report says so. The run depends on the seed alone.
 POVMs with commuting elements skip all of this: the optimum is achieved on
 the common eigenbasis, so a single Blahut-Arimoto run is exact.
 
-Before the run, ``informational_power`` tries one probe at the output
-q0_j = Tr(Pi_j)/D of the maximally mixed average. Its maxima, folded and
-weighted by Blahut-Arimoto, certify W when their rate comes within the
-margin of the probed maximum, which bounds W from above by the dual form.
-That happens when symmetry makes q0 the optimal output (SICs, the trine,
-their tensor powers). A screen at the generic run's start count comes
-first: on other POVMs its maxima fold to one state, so the full probe is
-skipped and the generic run follows.
+Before the run, when two distinct elements share a spectrum,
+``informational_power`` tries one probe at the output q0_j = Tr(Pi_j)/D
+of the maximally mixed average. Its maxima, folded and weighted by
+Blahut-Arimoto, certify W when their rate comes within the margin of the
+probed maximum, which bounds W from above by the dual form. That happens
+when symmetry makes q0 the optimal output (SICs, the trine, their tensor
+powers), and such a symmetry always repeats a spectrum. A screen at the
+generic run's start count comes first: when its maxima fold to one state,
+the full probe is skipped and the generic run follows. Random POVMs repeat
+no spectrum, so they go straight to the generic run.
 """
 
 from __future__ import annotations
@@ -80,8 +82,9 @@ class SolverConfig:
     ``seed`` decides the run's random draws. The run starts from D^2
     random pure states (the Davies bound), runs at most ``MAX_ROUNDS``
     column-generation rounds, and compaction drops ensemble members below
-    ``PRUNE_TOL``. ``tol`` must be positive and finite and ``seed`` an
-    integer >= 0; a bool is neither.
+    ``PRUNE_TOL``. ``tol`` must be a positive and finite real and ``seed``
+    an integer >= 0, a bool being neither, and ``base`` a ``LogBase``;
+    anything else raises ValueError.
     """
 
     tol: float = 1e-9
@@ -89,11 +92,14 @@ class SolverConfig:
     base: LogBase = LogBase.BITS
 
     def __post_init__(self) -> None:
-        if isinstance(self.tol, bool) or not 0.0 < self.tol < np.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {tol!r}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        if not isinstance(self.base, LogBase):
+            raise ValueError(f"base must be a LogBase, got {self.base!r}")
 
 
 @dataclass(frozen=True)
@@ -175,8 +181,10 @@ class _Kernel:
     """The channel psi -> <psi|Pi_j|psi> of one POVM, built once per solve:
     the elements (N, D, D), D, the elements flattened to the real
     (N, 2*D*D) right factor of ``_channel_probs`` and
-    ``_weighted_elements``, and, on first use, each element's top
-    eigenvector."""
+    ``_weighted_elements``, and, on first use, each element's ascending
+    eigenvalues and top eigenvector, from one ``eigh`` of the stack: the
+    spectrum test reads the eigenvalues and every probe starts from the
+    top eigenvectors."""
 
     def __init__(self, elements: np.ndarray) -> None:
         n, dim, _ = elements.shape
@@ -184,8 +192,16 @@ class _Kernel:
         self.weights_layout = np.ascontiguousarray(elements).reshape(n, dim * dim).view(float)
 
     @functools.cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.elements)
+
+    @property
+    def spectra(self) -> np.ndarray:
+        return self._eigh[0]
+
+    @property
     def tops(self) -> np.ndarray:
-        return np.linalg.eigh(self.elements)[1][:, :, -1]
+        return self._eigh[1][:, :, -1]
 
 
 def _channel_probs(vectors: np.ndarray, kernel: _Kernel) -> np.ndarray:
@@ -587,6 +603,41 @@ def commuting_fast_path(p: Povm, cfg: SolverConfig | None = None) -> PowerReport
                          iterations_used=res.iterations, fast_path_used=True)
 
 
+def _shares_a_spectrum(kernel: _Kernel) -> bool:
+    """True when two unequal elements have the same ascending eigenvalues,
+    to within 1e-9 of the largest eigenvalue.
+
+    Every POVM covariant under a group acting irreducibly on C^D, the case
+    that ``_symmetric_power`` certifies, has such a pair. By Schur's lemma
+    an element fixed by every U_g is proportional to I, so every other
+    element has a different partner in its orbit with the same spectrum;
+    a POVM whose elements are all proportional to I commutes. Equal
+    elements, such as split copies or appended zeros, are no evidence of
+    symmetry and do not count. The elements are sorted on a weighted sum
+    of their eigenvalues, in which two matching spectra lie within
+    D(D+1)/2 tolerances of each other, and each is compared with the
+    neighbours in that window only.
+    """
+    spectra = kernel.spectra
+    n, dim = spectra.shape
+    tol = 1e-9 * spectra.max()
+    key = spectra @ np.arange(1.0, dim + 1.0)
+    order = np.argsort(key)
+    key = key[order]
+    window = tol * dim * (dim + 1) / 2
+    for shift in range(1, n):
+        # keys are sorted, so once no pair this far apart is close enough, none further is
+        near = np.flatnonzero(key[shift:] - key[:-shift] <= window)
+        if not near.size:
+            return False
+        i, j = order[near], order[near + shift]
+        same = np.max(np.abs(spectra[i] - spectra[j]), axis=1) <= tol
+        i, j = i[same], j[same]
+        if np.any(np.max(np.abs(kernel.elements[i] - kernel.elements[j]), axis=(1, 2)) > tol):
+            return True
+    return False
+
+
 def _symmetric_power(p: Povm, kernel: _Kernel, cfg: SolverConfig) -> PowerReport | None:
     """W certified with one probe at the maximally mixed output, or None.
 
@@ -605,10 +656,12 @@ def _symmetric_power(p: Povm, kernel: _Kernel, cfg: SolverConfig) -> PowerReport
     max(16, 8D) random starts, the generic run's count, then with
     max(64, 8D^2). When either folds to one state with M0 above the
     margin, the test cannot pass (one state has rate 0) and this returns
-    None. Symmetric POVMs fold to several states at the screen; random
-    POVMs fold to one, so on them a failure costs one screen of
-    max(16, 8D) starts. Only the second probe can certify: the screen's
-    fewer starts can leave a maximum short of the margin. The report
+    None. Symmetric POVMs fold to several states at the screen, and so
+    does a POVM such as trine(x)rand2x3, which repeats spectra without
+    making q0 optimal; it fails after the full probe. Only the second
+    probe can certify: the screen's fewer starts can leave a maximum
+    short of the margin. ``informational_power`` calls this only where
+    ``_shares_a_spectrum``, so random POVMs never reach it. The report
     counts one iteration.
     """
     dim = p.dim
@@ -640,11 +693,15 @@ def informational_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1)
     Commuting elements admit an exact solution on their common
     eigenbasis. The fast path decides "commuting" itself: the eigenbasis
     of a fixed random combination of the elements must leave no
-    off-diagonal entry above 1e-10 in any of them. On NotCommuting a
-    probe at the maximally mixed output tries to certify W directly
-    (``_symmetric_power``); a screen of max(16, 8D) starts turns away
-    POVMs without that symmetry before the full probe runs. When the
-    certificate fails, the generic solver runs once. A commuting POVM
+    off-diagonal entry above 1e-10 in any of them. On NotCommuting, if
+    two unequal elements share a spectrum (``_shares_a_spectrum``; every
+    POVM covariant under an irreducible group does), a probe at the
+    maximally mixed output tries to certify W directly
+    (``_symmetric_power``), with a screen of max(16, 8D) starts before
+    the full probe. A random POVM shares no spectrum and skips the
+    probe. When there is no certificate, the generic solver runs once on
+    the same kernel; it draws from its own child seed, so its report does
+    not depend on whether the probe ran. A commuting POVM
     whose combination happens to be nearly degenerate also lands past the
     fast path and is solved more slowly, under one of the other two
     certificates. ``jobs`` is accepted for compatibility and has no effect.
@@ -653,9 +710,10 @@ def informational_power(p: Povm, cfg: SolverConfig | None = None, jobs: int = 1)
     try:
         return commuting_fast_path(p, cfg)
     except NotCommuting:
-        # one kernel for both certificates: the probes share its top eigenvectors
+        # one kernel for the spectrum test and both certificates: one eigh of the elements
         kernel = _Kernel(p.elements)
-        return _symmetric_power(p, kernel, cfg) or _generic_power(p, kernel, cfg)
+        symmetric = _symmetric_power(p, kernel, cfg) if _shares_a_spectrum(kernel) else None
+        return symmetric or _generic_power(p, kernel, cfg)
 
 
 def state_gradient(e: Ensemble, p: Povm) -> list[np.ndarray]:

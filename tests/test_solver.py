@@ -63,6 +63,23 @@ def test_solver_config_validation():
         with pytest.raises(ValueError, match="seed"):
             SolverConfig(seed=seed)
     assert SolverConfig(seed=np.int64(3)).seed == 3
+    assert SolverConfig(tol=np.float32(1e-6)).tol == np.float32(1e-6)
+
+
+@pytest.mark.parametrize("tol", ["1e-9", None, 1j])
+def test_solver_config_refuses_a_non_numeric_tol(tol):
+    """A tol that is not a real number raises ValueError at construction,
+    like every other bad value, not TypeError from the comparison."""
+    with pytest.raises(ValueError, match="tol"):
+        SolverConfig(tol=tol)
+
+
+@pytest.mark.parametrize("base", ["bits", "nats", None, 2])
+def test_solver_config_refuses_a_base_that_is_not_a_log_base(base):
+    """A base that is not a LogBase raises ValueError at construction, not
+    AttributeError inside the solve."""
+    with pytest.raises(ValueError, match="base"):
+        SolverConfig(base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -591,16 +608,17 @@ def test_kernels_match_their_einsum_references(rows):
     [
         pytest.param(lambda: tensor_power(tetrahedral_sic_povm(), 2), see_saw_power, 1, id="sic2-generic"),
         pytest.param(hesse_sic_povm, informational_power, 1, id="hesse-symmetric"),
-        pytest.param(lambda: random_povm(4, 8, seed=2), informational_power, 1, id="rand4x8-screened"),
+        pytest.param(lambda: random_povm(4, 8, seed=2), informational_power, 1, id="rand4x8-generic"),
         pytest.param(lambda: standard_projective_povm(3), informational_power, 0, id="projective3"),
     ],
 )
 def test_element_stack_is_diagonalized_once_per_kernel(make, solve, calls, monkeypatch):
-    """Every probe starts from the elements' top eigenvectors, which one
-    solve computes once: SIC(x)SIC's generic run probes once per round,
-    the Hesse SIC's symmetric path probes twice, rand4x8's screen and its
-    generic run share one kernel, and the commuting path never
-    diagonalizes the elements at all."""
+    """Every probe starts from the elements' top eigenvectors, and the
+    spectrum test reads their eigenvalues, which one solve computes once:
+    SIC(x)SIC's generic run probes once per round, the Hesse SIC's spectrum
+    test and its symmetric path's two probes share one kernel, as do
+    rand4x8's spectrum test and its generic run, and the commuting path
+    never diagonalizes the elements at all."""
     p = make()
     eigh = np.linalg.eigh
     seen = []
@@ -926,24 +944,98 @@ def _report_bytes(rep: PowerReport) -> str:
     "dim, outcomes, povm_seed", [(3, 5, 1), (4, 8, 2), (4, 5, 4052), (8, 16, 0), (16, 32, 0)]
 )
 def test_symmetric_path_falls_through_on_random_povms(dim, outcomes, povm_seed, monkeypatch):
-    """The screen alone, one probe of max(16, 8D) starts at q0, turns a
-    random POVM away, and the report is the generic solver's."""
+    """A random POVM repeats no spectrum, so no probe at q0 runs, and the
+    report is the generic solver's; the symmetric path would not have
+    certified it either."""
     p = random_povm(dim, outcomes, seed=povm_seed)
     cfg = SolverConfig(seed=0)
-    assert solver._symmetric_power(p, solver._Kernel(p.elements), cfg) is None
+    kernel = solver._Kernel(p.elements)
+    assert not solver._shares_a_spectrum(kernel)
+    assert solver._symmetric_power(p, kernel, cfg) is None
     starts = _q0_probe_starts(p, monkeypatch)
     rep = informational_power(p)
-    assert starts == [max(16, 8 * dim)]
+    assert starts == []
     assert _report_bytes(rep) == _report_bytes(see_saw_power(p, cfg))
 
 
-def test_symmetric_probe_short_of_its_maximum_falls_through():
-    """trine(x)rand2x3 folds to 3 states at q0, whose rate ln(3/2) nats
-    stays short of the probed maximum, so the symmetric path gives up past
-    the screen and the generic run certifies W(trine) + W(rand2x3)."""
+def _depolarised_sic() -> Povm:
+    e = tetrahedral_sic_povm().elements
+    return Povm(0.7 * e + 0.3 * np.trace(e, axis1=1, axis2=2).real[:, None, None] * np.eye(2) / 2)
+
+
+SPECTRUM_SHARING = {
+    **COVARIANT,
+    "sic2": lambda: tensor_power(tetrahedral_sic_povm(), 2),
+    "trine_sic": lambda: tensor_povm(trine_povm(), tetrahedral_sic_povm()),
+    "depolarised_sic": _depolarised_sic,
+}
+
+
+def _shares_a_spectrum(elements: np.ndarray) -> bool:
+    return solver._shares_a_spectrum(solver._Kernel(elements))
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_SHARING))
+def test_covariant_povms_share_a_spectrum_in_random_frames(name):
+    """Each element of a POVM covariant under an irreducible group has a
+    different partner with its spectrum (Schur's lemma), in any frame."""
+    base = SPECTRUM_SHARING[name]()
+    assert _shares_a_spectrum(base.elements)
+    for seed in range(5):
+        u = random_unitary(base.dim, np.random.default_rng(seed))
+        assert _shares_a_spectrum(u @ base.elements @ u.conj().T), seed
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("dim, outcomes", [(2, 2), (2, 3), (3, 5), (3, 9), (4, 8), (5, 25), (8, 16)])
+def test_random_povms_share_no_spectrum(dim, outcomes, real):
+    """Random POVMs repeat no spectrum, and neither do they with one element
+    split in two or with two zero elements appended: equal elements do not
+    count."""
+    for seed in range(4):
+        e = random_povm(dim, outcomes, seed=seed, real=real).elements
+        split = np.concatenate([e[:1] / 2, e[:1] / 2, e[1:]])
+        zeros = np.concatenate([e, np.zeros((2, dim, dim))])
+        for elements in (e, split, zeros):
+            assert not _shares_a_spectrum(elements), seed
+
+
+def test_spectrum_test_tolerance():
+    """Spectra match within 1e-9 of the largest eigenvalue, and the pair
+    must hold two unequal elements."""
+    e = random_povm(3, 4, seed=0).elements
+    u = random_unitary(3, np.random.default_rng(1))
+    partner = u @ e[0] @ u.conj().T
+    scale = np.linalg.eigvalsh(e).max()
+    assert _shares_a_spectrum(np.concatenate([e, partner[None]]))
+    assert _shares_a_spectrum(np.concatenate([e, (partner + 1e-10 * scale * np.eye(3))[None]]))
+    assert not _shares_a_spectrum(np.concatenate([e, (partner + 1e-8 * scale * np.eye(3))[None]]))
+    assert not _shares_a_spectrum(np.concatenate([e, e[:1]]))
+    assert not _shares_a_spectrum(e[:1])
+
+
+def test_informational_power_reports_the_generic_solver_on_random_povms():
+    """Past the spectrum test a random POVM's report is ``see_saw_power``'s,
+    byte for byte."""
+    for dim, outcomes, seed in ((2, 3, 0), (2, 4, 1), (3, 3, 2), (3, 6, 3), (4, 5, 4), (5, 6, 5)):
+        for real in (False, True):
+            p = random_povm(dim, outcomes, seed=seed, real=real)
+            rep = informational_power(p)
+            assert not rep.fast_path_used
+            assert _report_bytes(rep) == _report_bytes(see_saw_power(p)), (dim, outcomes, seed, real)
+
+
+def test_symmetric_probe_short_of_its_maximum_falls_through(monkeypatch):
+    """trine(x)rand2x3 repeats spectra, so it takes the screen; it folds to
+    3 states at q0, whose rate ln(3/2) nats stays short of the probed
+    maximum, so the symmetric path gives up past the screen and the
+    generic run certifies W(trine) + W(rand2x3)."""
     p = tensor_povm(trine_povm(), random_povm(2, 3, seed=0))
     assert solver._symmetric_power(p, solver._Kernel(p.elements), SolverConfig()) is None
-    rep = informational_power(p)
+    with monkeypatch.context() as m:
+        starts = _q0_probe_starts(p, m)
+        rep = informational_power(p)
+    assert starts == [max(16, 8 * p.dim), max(64, 8 * p.dim**2)]
     assert rep.converged and not rep.fast_path_used
     parts = informational_power(trine_povm()).w_estimate + informational_power(random_povm(2, 3, seed=0)).w_estimate
     assert rep.w_estimate == pytest.approx(parts, abs=1e-12)
