@@ -91,9 +91,14 @@ def outcome_probabilities(e: Ensemble, p: Povm) -> np.ndarray:
     Values outside [0, 1] by more than the POVM's own tolerances (see
     ``_povm_slack``) plus 1e-12 raise.
     """
-    if e.dim != p.dim:
-        raise DimensionMismatch(f"ensemble dim {e.dim} vs POVM dim {p.dim}")
-    probs = np.einsum("idc,jcd->ij", e.states, p.elements).real
+    return _outcomes(e.states, p)
+
+
+def _outcomes(states: np.ndarray, p: Povm) -> np.ndarray:
+    """``outcome_probabilities`` of a checked stack of density matrices."""
+    if states.shape[1] != p.dim:
+        raise DimensionMismatch(f"ensemble dim {states.shape[1]} vs POVM dim {p.dim}")
+    probs = np.einsum("idc,jcd->ij", states, p.elements).real
     slack = 1e-12 + _povm_slack(p)
     if probs.min() < -slack or probs.max() > 1.0 + slack:
         raise ValueError(
@@ -101,6 +106,14 @@ def outcome_probabilities(e: Ensemble, p: Povm) -> np.ndarray:
             f"max {float(probs.max())!r}"
         )
     return np.clip(probs, 0.0, 1.0)
+
+
+def _channel_rows(states: np.ndarray, p: Povm) -> np.ndarray:
+    """The rows of ``_outcomes(states, p)`` divided by their sums, once
+    checked: the entries against the POVM's slack there, and the sums here
+    within 1e-10 plus that slack of 1. The quotient needs no second check."""
+    probs = _probability_rows(_outcomes(states, p), 2, 1e-10 + _povm_slack(p), "Tr[rho Pi]")
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 def _stochastic(probs: np.ndarray) -> ClassicalChannel:
@@ -113,10 +126,10 @@ def joint_statistics(e: Ensemble, p: Povm) -> ClassicalChannel:
     """The classical channel p(j|i) = Tr[rho_i Pi_j] induced by measuring the POVM.
 
     Rows are divided by their sums, which must lie within 1e-10 plus the
-    POVM's own tolerances of 1 (see ``_povm_slack``).
+    POVM's own tolerances of 1 (see ``_povm_slack``); these are the rows
+    ``mutual_information`` uses, wrapped in a ``ClassicalChannel``.
     """
-    probs = outcome_probabilities(e, p)
-    return _stochastic(_probability_rows(probs, 2, 1e-10 + _povm_slack(p), "Tr[rho Pi]"))
+    return ClassicalChannel(_channel_rows(e.states, p))
 
 
 def shannon_entropy(d: Distribution | np.ndarray, base: LogBase = LogBase.BITS) -> float:
@@ -157,16 +170,17 @@ def mutual_information(e: Ensemble, p: Povm, base: LogBase = LogBase.BITS) -> fl
     """Mutual information between message index and outcome index.
 
     I = sum_ij p_i p(j|i) log(p(j|i)/q_j) with q_j = sum_k p_k p(k|j);
-    zero-probability terms contribute 0.
+    zero-probability terms contribute 0. The channel rows are those of
+    ``joint_statistics``, checked once and not wrapped in a
+    ``ClassicalChannel``.
     """
-    ch = joint_statistics(e, p)
-    return base.from_nats(channel_mutual_information_nats(e.priors, ch.probs))
+    return base.from_nats(channel_mutual_information_nats(e.priors, _channel_rows(e.states, p)))
 
 
 def apply_qc_channel(p: Povm, rho: DensityOperator) -> Distribution:
     """Outcome distribution Tr[rho Pi_j] of measuring rho with the POVM:
     the one-member case of ``joint_statistics``, with its tolerances."""
-    return Distribution(joint_statistics(Ensemble(np.ones(1), rho.matrix[None]), p).probs[0])
+    return Distribution(_channel_rows(rho.matrix[None], p)[0])
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ checked in one function, which every constructor calls:
   its lowest eigenvalue taken. Density matrices (``DensityOperator``,
   ``Ensemble`` states) are then Hermitian and PSD within ``linalg.PSD_TOL``
   (1e-10) and of unit trace within 1e-10.
+  ``Ensemble.from_pure`` proves this from its rows instead: |v><v| of a
+  finite unit row (within 1e-12) is Hermitian, PSD and of unit trace.
 - ``_povm_residuals``: those residuals and eigenvalues, each within
   ``psd_tol`` (PSD_TOL) in a ``Povm``, and |sum - I|_F of the stack as
   given, at most ``completeness_tol`` (1e-9); ``validate_povm`` reports
@@ -16,7 +18,8 @@ checked in one function, which every constructor calls:
   finite, non-negative and sums to 1 within 1e-12 (``Distribution``,
   ``Ensemble`` priors), 1e-10 (``ClassicalChannel``), 1e-9
   (``blahut_arimoto``'s ``initial_prior``) or 1e-10 plus the POVM's slack
-  (``joint_statistics``).
+  (the raw Tr[rho Pi] rows, once per ``mutual_information``,
+  ``joint_statistics`` or ``apply_qc_channel`` call).
 """
 
 from __future__ import annotations
@@ -214,14 +217,27 @@ class Ensemble:
 
     @staticmethod
     def from_pure(priors: np.ndarray, vectors: np.ndarray) -> "Ensemble":
-        """Build an ensemble of pure states from unit row vectors (M, D)."""
+        """Build an ensemble of pure states from unit row vectors (M, D).
+
+        Checks the rows and the priors only, and stores each |v><v|
+        hermitized, as the constructor would, without diagonalizing it."""
         v = np.asarray(vectors, dtype=complex)
+        if v.ndim != 2 or 0 in v.shape:
+            raise ValueError(f"pure state vectors must be 2-D (M, D) and non-empty, got shape {v.shape}")
         norms = _row_norms(v)
         bad = np.abs(norms - 1.0) > 1e-12
         if bad.any():
             raise ValueError(f"pure state norm {float(norms[bad][0])!r} is not 1 within 1e-12")
-        # non-finite rows pass the norm check as NaN and fail in Ensemble
-        return Ensemble(np.asarray(priors, dtype=float), v[:, :, None] * v[:, None, :].conj())
+        # a row holding NaN passes the norm check as NaN
+        if not np.isfinite(v).all():
+            raise ValueError("ensemble state contains non-finite entries")
+        p = np.asarray(priors, dtype=float).reshape(-1)
+        if p.shape[0] != v.shape[0]:
+            raise ValueError(f"{p.shape[0]} priors but {v.shape[0]} states")
+        e = object.__new__(Ensemble)
+        object.__setattr__(e, "priors", _probability_rows(p, 1, 1e-12, "ensemble priors"))
+        object.__setattr__(e, "states", linalg.hermitize(v[:, :, None] * v[:, None, :].conj()))
+        return e
 
 
 @dataclass(frozen=True)

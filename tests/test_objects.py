@@ -210,6 +210,48 @@ def test_ensemble_from_pure_checks_every_row_norm():
     assert len(Ensemble.from_pure(np.full(3, 1 / 3), vecs)) == 3
 
 
+def _unit_rows_with(i: int, j: int, value: complex) -> np.ndarray:
+    vecs = np.eye(3, dtype=complex)
+    vecs[i, j] = value
+    return vecs
+
+
+@pytest.mark.parametrize(
+    "priors, vecs, message",
+    [
+        pytest.param(np.full(3, 1 / 3), _unit_rows_with(1, 1, np.nan),
+                     "ensemble state contains non-finite entries", id="nan-row"),
+        pytest.param(np.full(3, 1 / 3), _unit_rows_with(1, 1, np.inf),
+                     "pure state norm inf is not 1 within 1e-12", id="inf-row"),
+        pytest.param(np.full(3, 1 / 3), _unit_rows_with(1, 1, 0.0),
+                     "pure state norm 0.0 is not 1 within 1e-12", id="zero-row"),
+        pytest.param(np.full(3, 1 / 3), _unit_rows_with(2, 2, 1.0 + 1e-9),
+                     "pure state norm 1.000000001 is not 1 within 1e-12", id="off-unit-norm"),
+        pytest.param(np.array([0.6, 0.6, -0.2]), np.eye(3),
+                     "ensemble priors: negative entry -0.2", id="negative-prior"),
+        pytest.param(np.array([0.5, np.nan, 0.5]), np.eye(3),
+                     "ensemble priors contains non-finite entries", id="nan-prior"),
+        pytest.param(np.full(3, 0.5), np.eye(3),
+                     "ensemble priors: entries sum to 1.5, not 1 within 1e-12", id="unnormalized-priors"),
+        pytest.param(np.full(2, 0.5), np.eye(3), "2 priors but 3 states", id="prior-count"),
+    ],
+)
+def test_ensemble_from_pure_refusals_keep_their_messages(priors, vecs, message):
+    # the norm of an infinite row is taken through inf * 0
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as info:
+        Ensemble.from_pure(priors, vecs)
+    assert str(info.value) == message
+
+
+def test_ensemble_from_pure_names_the_shape_of_bad_vectors():
+    with pytest.raises(ValueError, match=r"got shape \(3,\)"):
+        Ensemble.from_pure(np.ones(1), np.array([1, 0, 0], dtype=complex))
+    with pytest.raises(ValueError, match=r"got shape \(1, 1, 1\)"):
+        Ensemble.from_pure(np.ones(1), np.ones((1, 1, 1), dtype=complex))
+    with pytest.raises(ValueError, match=r"got shape \(0, 3\)"):
+        Ensemble.from_pure(np.ones(0), np.zeros((0, 3)))
+
+
 def test_ensemble_from_pure_and_average():
     vecs = np.eye(2, dtype=complex)
     e = Ensemble.from_pure(np.array([0.5, 0.5]), vecs)

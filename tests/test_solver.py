@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infopower import linalg, serialize, solver
+from infopower import information, linalg, objects, serialize, solver
 from infopower.errors import DimensionMismatch, NotCommuting
 from infopower.information import LN2, LogBase, channel_mutual_information_nats, mutual_information
 from infopower.objects import (
@@ -369,13 +369,45 @@ def test_see_saw_joins_violators_on_the_sic_squared():
         pytest.param(commuting_fast_path, standard_projective_povm(3), id="commuting"),
         pytest.param(informational_power, tetrahedral_sic_povm(), id="symmetric"),
         pytest.param(see_saw_power, tetrahedral_sic_povm(), id="generic"),
+        pytest.param(informational_power, random_povm(3, 5, seed=1), id="rand3x5-generic"),
     ],
 )
-def test_report_invariants(solve, p):
+def test_report_invariants(solve, p, monkeypatch):
     """Each path states each fact once: W is the recomputed mutual
     information of the reported ensemble, ``per_restart_values`` is that
-    W alone, and the bound check counts the reported members."""
+    W alone, and the bound check counts the reported members. Building the
+    report proves each invariant once: the ensemble is stored bit for bit
+    as the fully checked ``Ensemble`` constructor stores it, yet no state
+    is diagonalized, and the channel rows pass ``_probability_rows`` once."""
+    building, eigs, row_checks = [], [], []
+
+    def while_building(f, calls):
+        def spy(a, *args, **kwargs):
+            if building:
+                calls.append(np.asarray(a))
+            return f(a, *args, **kwargs)
+        return spy
+
+    def power_report(*args, **kwargs):
+        building.append(True)
+        try:
+            return build(*args, **kwargs)
+        finally:
+            building.clear()
+
+    build = solver._power_report
+    monkeypatch.setattr(solver, "_power_report", power_report)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, while_building(getattr(np.linalg, name), eigs))
+    for module in (objects, information):
+        monkeypatch.setattr(module, "_probability_rows", while_building(module._probability_rows, row_checks))
     rep = solve(p, SolverConfig(seed=1))
+    assert eigs == []
+    assert [a.ndim for a in row_checks].count(2) == 1
+    e = rep.best_ensemble
+    checked = Ensemble(e.priors, e.states)
+    assert checked.priors.dtype == e.priors.dtype and checked.priors.tobytes() == e.priors.tobytes()
+    assert checked.states.shape == e.states.shape and checked.states.tobytes() == e.states.tobytes()
     assert isinstance(rep, PowerReport)
     assert rep.w_estimate == mutual_information(rep.best_ensemble, p)
     assert rep.per_restart_values == (rep.w_estimate,)
